@@ -4,8 +4,9 @@ Commands: generate, check-indist, classify, complexity, christoffel,
 limit-pair, derive.  Output is deterministic UTF-8 text or JSON (stable
 field names, schema_version 1); errors go to stderr.
 
-Exit codes: 0 pass/classified, 1 fail/not-of-form (witness on stdout),
-2 inconclusive, 3 usage error.
+Exit codes: 0 pass/classified, 1 fail/not-of-form (witness on stdout) or
+not asymptotic, 2 inconclusive (including an uncertifiable pair), 3 argument
+or expression error.
 
 Oracle expression grammar::
 
@@ -33,6 +34,8 @@ from .christoffel import (
 )
 from .language import complexity_profile
 from .patterns import (
+    NotAsymptoticError,
+    UncertifiableError,
     Verdict,
     certify_asymptotic,
     check_indistinguishable,
@@ -293,11 +296,28 @@ def _verdict_doc(verdict: Verdict, pair) -> dict:
     return doc
 
 
+_PAIR_OUTCOMES = {NotAsymptoticError: ("not_asymptotic", EXIT_FAIL),
+                  UncertifiableError: ("inconclusive", EXIT_INCONCLUSIVE)}
+
+
+def _certify_or_report(args, command: str):
+    """(pair, None) for a certified pair, else (None, exit code) after
+    emitting why the pair is not asymptotic or cannot be certified."""
+    try:
+        return certify_asymptotic(parse_oracle(args.x), parse_oracle(args.y), args.radius), None
+    except (NotAsymptoticError, UncertifiableError) as exc:
+        (status, code), reason = _PAIR_OUTCOMES[type(exc)], str(exc)
+    doc = {"schema_version": SCHEMA_VERSION, "command": command,
+           "status": status, "reason": reason}
+    _emit(doc, args.json, f"{status}: {reason}")
+    return None, code
+
+
 def cmd_check_indist(args) -> int:
-    x = parse_oracle(args.x)
-    y = parse_oracle(args.y)
-    pair = certify_asymptotic(x, y, radius=args.radius)
-    verdict = check_indistinguishable(pair, args.max_len, threads=args.threads)
+    pair, code = _certify_or_report(args, "check-indist")
+    if pair is None:
+        return code
+    verdict = check_indistinguishable(pair, args.max_len)
     doc = _verdict_doc(verdict, pair)
     text = ("pass" if verdict.passed
             else f"fail witness={doc.get('witness', '')}")
@@ -346,12 +366,11 @@ def _classification_doc(outcome, alphabet: Alphabet) -> tuple[dict, str, int]:
 
 
 def cmd_classify(args) -> int:
-    x = parse_oracle(args.x)
-    y = parse_oracle(args.y)
     lo, hi = _parse_window(args.window)
-    pair = certify_asymptotic(x, y, radius=args.radius)
-    outcome = derive_mod.classify(pair, window=(lo, hi), max_len=args.max_len,
-                                  threads=args.threads)
+    pair, code = _certify_or_report(args, "classify")
+    if pair is None:
+        return code
+    outcome = derive_mod.classify(pair, window=(lo, hi), max_len=args.max_len)
     doc, text, code = _classification_doc(outcome, pair.alphabet)
     _emit(doc, args.json, text)
     return code
@@ -453,10 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, threads=False):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        if threads:
-            p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("generate", help="print a window of an oracle expression")
     p.add_argument("--expr", required=True)
@@ -469,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
     p.add_argument("--radius", type=int, default=64)
-    add_common(p, threads=True)
+    add_common(p)
     p.set_defaults(func=cmd_check_indist)
 
     p = sub.add_parser("classify", help="classify an indistinguishable pair")
@@ -478,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="-64:64")
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
     p.add_argument("--radius", type=int, default=64)
-    add_common(p, threads=True)
+    add_common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("complexity", help="factor complexity profile over a window")

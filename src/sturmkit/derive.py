@@ -315,7 +315,7 @@ _MAX_DERIVATIONS = 64
 
 
 def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
-             max_len: int = 20, threads: int = 1) -> ClassifyOutcome:
+             max_len: int = 20) -> ClassifyOutcome:
     """Decompose a non-trivial pair per the classification dichotomy.
 
     Either produces a substitution phi, shift m and base pair that rebuild
@@ -325,7 +325,7 @@ def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
     """
     if pair.is_trivial:
         raise ValueError("classification requires a non-trivial pair")
-    verdict = check_indistinguishable(pair, max_len, threads=threads)
+    verdict = check_indistinguishable(pair, max_len)
     if not verdict.passed:
         return NotIndistinguishable(verdict.witness)
     recurrent = is_recurrent(pair.x)

@@ -23,6 +23,10 @@ class FactorSet:
     window: tuple[int, int]
 
 
+def _slices(text: Word, n: int) -> frozenset[Word]:
+    return frozenset(text[i:i + n] for i in range(len(text) - n + 1))
+
+
 def factors(x: SequenceOracle, n: int, window: tuple[int, int]) -> FactorSet:
     """All length-n factors of x witnessed inside the window."""
     lo, hi = window
@@ -30,14 +34,16 @@ def factors(x: SequenceOracle, n: int, window: tuple[int, int]) -> FactorSet:
         raise ValueError("factor length must be >= 1")
     if hi - lo + 1 < n:
         raise ValueError(f"window {window} shorter than factor length {n}")
-    text = x.window(lo, hi)
-    found = frozenset(text[i:i + n] for i in range(len(text) - n + 1))
-    return FactorSet(n, found, window)
+    return FactorSet(n, _slices(x.window(lo, hi), n), window)
 
 
 def complexity_profile(x: SequenceOracle, max_n: int, window: tuple[int, int]) -> list[int]:
-    """[#L_1, ..., #L_max_n] as witnessed by the window."""
-    return [len(factors(x, n, window).words) for n in range(1, max_n + 1)]
+    """[#L_1, ..., #L_max_n] as witnessed by the window, which is read once."""
+    lo, hi = window
+    if hi - lo + 1 < max_n:
+        raise ValueError(f"window {window} shorter than factor length {max_n}")
+    text = x.window(lo, hi) if max_n > 0 else ()
+    return [len(_slices(text, n)) for n in range(1, max_n + 1)]
 
 
 def special_factors(x: SequenceOracle, n: int, window: tuple[int, int],

@@ -8,10 +8,11 @@ it a finite exact computation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional
 
 from .sequences import (
     Alphabet,
@@ -185,22 +186,40 @@ def discrepancy(p: Pattern, pair: AsymptoticPair) -> int:
     )
 
 
-def _word_discrepancies(pair: AsymptoticPair, length: int) -> dict[Word, int]:
-    """Delta_w for every word of the given length with a nonzero chance.
+def _discrepancy_levels(pair: AsymptoticPair, max_len: int) -> Iterator[tuple]:
+    """Yield (deltas, spell) for n = 1..max_len: deltas maps each class of
+    length-n words with Delta_w != 0 to Delta_w; spell() maps those classes to
+    their words, read at a first occurrence, until the next length is drawn.
 
-    Only words occurring in x or y at a position meeting F can have nonzero
-    discrepancy, so the candidate set is read off the pair itself.  Counting
-    runs over the interval hull of F - [0, length-1]: positions in the hull
-    whose window misses F see identical windows in x and y and cancel.
+    The hull [min F - max_len + 1, max F + max_len - 1] of x and of y is read
+    once.  A start's class at length n+1 is looked up by (class at n, next
+    symbol) in one dict shared by x and y, so equal words get equal ids and no
+    word is hashed.  Delta counts the starts [min F - n + 1, max F]; a start
+    whose window misses F sees the same word in both and cancels.
     """
     lo_f, hi_f = pair.span()
-    positions = range(lo_f - length + 1, hi_f + 1)
-    xwins = [pair.x.window(n, n + length - 1) for n in positions]
-    ywins = [pair.y.window(n, n + length - 1) for n in positions]
-    out: dict[Word, int] = {}
-    for w in set(xwins) | set(ywins):
-        out[w] = ywins.count(w) - xwins.count(w)
-    return out
+    base = lo_f - max_len + 1
+    xs = pair.x.window(base, hi_f + max_len - 1)
+    ys = pair.y.window(base, hi_f + max_len - 1)
+    size = pair.alphabet.size
+    cx = cy = [0] * (hi_f - base + 1)  # length 0: every start holds the empty word
+    for n in range(1, max_len + 1):
+        ids: dict[int, int] = {}  # setdefault(key, len(ids)) numbers new keys 0, 1, ...
+        cx = [ids.setdefault(c * size + s, len(ids)) for c, s in zip(cx, xs[n - 1:])]
+        cy = [ids.setdefault(c * size + s, len(ids)) for c, s in zip(cy, ys[n - 1:])]
+        first = max_len - n  # index of the start min F - n + 1
+        in_x, in_y = Counter(cx[first:]), Counter(cy[first:])
+        deltas = {} if in_x == in_y else {c: d for c in in_x | in_y if (d := in_y[c] - in_x[c])}
+
+        def spell() -> dict[int, Word]:
+            words: dict[int, Word] = {}
+            for seq, classes in ((xs, cx), (ys, cy)):
+                for i, c in enumerate(classes):
+                    if c in deltas and c not in words:
+                        words[c] = seq[i:i + n]
+            return words
+
+        yield deltas, spell
 
 
 @dataclass(frozen=True)
@@ -210,37 +229,24 @@ class Verdict:
     lengths_checked: int
 
 
-def check_indistinguishable(pair: AsymptoticPair, max_len: int,
-                            threads: int = 1) -> Verdict:
+def check_indistinguishable(pair: AsymptoticPair, max_len: int) -> Verdict:
     """Delta_w = 0 for every word w with 1 <= |w| <= max_len?
 
     On failure the witness is the shortest failing word, ties broken by
     lexicographically smallest symbol ids.  A pass certifies nothing beyond
     max_len except for pairs matched by the classification theorems.
+
+    Reads the hull [min F - max_len + 1, max F + max_len - 1] of x and of y
+    once and costs O(max_len * (|F| + max_len)) time, |F| the width of the
+    difference interval, in O(|F| + max_len) memory.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if pair.is_trivial:
         return Verdict(True, None, max_len)
-
-    def failing_at(length: int) -> Optional[Word]:
-        bad = [w for w, d in _word_discrepancies(pair, length).items() if d != 0]
-        return min(bad) if bad else None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(failing_at, range(1, max_len + 1)))
-        for length, witness in enumerate(results, start=1):
-            if witness is not None:
-                return Verdict(False, witness, length)
-        return Verdict(True, None, max_len)
-
-    for length in range(1, max_len + 1):
-        witness = failing_at(length)
-        if witness is not None:
-            return Verdict(False, witness, length)
+    for length, (deltas, spell) in enumerate(_discrepancy_levels(pair, max_len), start=1):
+        if deltas:
+            return Verdict(False, min(spell().values()), length)
     return Verdict(True, None, max_len)
 
 
@@ -249,17 +255,19 @@ def ns_norm_lower_bound(pair: AsymptoticPair, max_support: int) -> Fraction:
 
     Maximizes (1/n) * sum over all length-n words of |Delta_w| for
     n <= max_support; interval supports only, so this bounds the supremum
-    over all finite supports from below.
+    over all finite supports from below.  Like check_indistinguishable it
+    reads the hull [min F - max_support + 1, max F + max_support - 1] once
+    and costs O(max_support * (|F| + max_support)).
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1")
     if pair.is_trivial:
         return Fraction(0)
-    best = Fraction(0)
-    for n in range(1, max_support + 1):
-        total = sum(abs(d) for d in _word_discrepancies(pair, n).values())
-        best = max(best, Fraction(total, n))
-    return best
+    return max(
+        (Fraction(sum(map(abs, deltas.values())), n)
+         for n, (deltas, _) in enumerate(_discrepancy_levels(pair, max_support), start=1)),
+        default=Fraction(0),
+    )
 
 
 def pattern_reduction_check(p: Pattern, pair: AsymptoticPair) -> bool:

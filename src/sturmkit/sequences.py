@@ -142,8 +142,7 @@ def identity_substitution(alphabet: Alphabet) -> Substitution:
 class SequenceOracle:
     """Base class; subclasses implement ``_at``.  Instances are immutable.
 
-    ``at`` keeps a bounded per-oracle memo of evaluated positions.  CPython
-    dict operations are atomic, so concurrent readers at worst recompute.
+    ``at`` keeps a bounded per-oracle memo of evaluated positions.
     """
 
     alphabet: Alphabet

@@ -29,19 +29,25 @@ SCHEMAS = {
     },
     "check-indist": {
         "allOf": [BASE_SCHEMA],
-        "required": ["status", "lengths_checked", "difference_set"],
+        "required": ["status"],
         "properties": {
-            "status": {"enum": ["pass", "fail"]},
+            "status": {"enum": ["pass", "fail", "not_asymptotic", "inconclusive"]},
             "lengths_checked": {"type": "integer"},
             "difference_set": {"type": "array", "items": {"type": "integer"}},
             "witness": {"type": "string"},
+            "reason": {"type": "string"},
         },
+        "if": {"properties": {"status": {"enum": ["pass", "fail"]}}},
+        "then": {"required": ["lengths_checked", "difference_set"]},
+        "else": {"required": ["reason"]},
     },
     "classify": {
         "allOf": [BASE_SCHEMA],
         "required": ["status"],
         "properties": {
-            "status": {"enum": ["classified", "not_indistinguishable", "inconclusive"]},
+            "status": {"enum": ["classified", "not_indistinguishable", "inconclusive",
+                                "not_asymptotic"]},
+            "reason": {"type": "string"},
             "case": {"enum": ["recurrent", "non_recurrent"]},
             "substitution": {"type": "object"},
             "m": {"type": "integer"},
@@ -137,6 +143,27 @@ def test_check_indist_exit_codes(capsys):
         "--max-len", "6", "--json",
     )
     assert code == 1 and doc["status"] == "fail" and doc["witness"] == "00"
+
+
+def test_pair_outcomes_are_not_usage_errors(capsys):
+    # eventually periodic against aperiodic: provably not asymptotic
+    for command in ("check-indist", "classify"):
+        code, doc = run_json(
+            capsys, command, "--x", "lower(1/2)", "--y", GOLDEN_EXPR, "--json",
+        )
+        assert code == 1 and doc["status"] == "not_asymptotic"
+        assert doc["reason"] == "eventually periodic vs aperiodic mechanical word"
+    code, out, err = run(capsys, "check-indist", "--x", "lower(1/2)", "--y", GOLDEN_EXPR)
+    assert code == 1 and out.startswith("not_asymptotic:") and not err
+    # images under different substitutions: no certificate either way
+    for command in ("check-indist", "classify"):
+        code, doc = run_json(
+            capsys, command,
+            "--x", f"sub(0:01;1:0,{GOLDEN_EXPR})", "--y", f"sub(0:10;1:0,{GOLDEN_EXPR})",
+            "--json",
+        )
+        assert code == 2 and doc["status"] == "inconclusive"
+        assert doc["reason"] == "substitution images under different substitutions"
 
 
 def test_classify_remark_exit_1(capsys):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sturmkit as sk
 from sturmkit.patterns import (
     Pattern,
+    Verdict,
     certify_asymptotic,
     check_indistinguishable,
     discrepancy,
@@ -23,6 +25,7 @@ from sturmkit.sequences import (
     MechanicalLower,
     MechanicalUpper,
     Substitution,
+    alphabet_of_size,
     shift,
 )
 
@@ -102,11 +105,84 @@ def test_check_indistinguishable(golden_pair, remark_pair):
     assert check_indistinguishable(trivial, 30).passed
 
 
-def test_check_threads_deterministic(remark_pair, golden_pair):
-    for pair in (remark_pair, golden_pair):
-        a = check_indistinguishable(pair, 8)
-        b = check_indistinguishable(pair, 8, threads=3)
-        assert (a.passed, a.witness) == (b.passed, b.witness)
+def test_check_golden_pair_deep(golden_pair):
+    assert check_indistinguishable(golden_pair, 300) == Verdict(True, None, 300)
+
+
+# brute-force oracle: every window of the hull spelled out and counted as a
+# tuple; the class-refinement engine must agree with it exactly
+
+
+def reference_word_discrepancies(pair, length):
+    """Delta_w for every word of the given length occurring in x or y at a
+    start in [min F - length + 1, max F]."""
+    lo_f, hi_f = pair.span()
+    positions = range(lo_f - length + 1, hi_f + 1)
+    xwins = [pair.x.window(n, n + length - 1) for n in positions]
+    ywins = [pair.y.window(n, n + length - 1) for n in positions]
+    return {w: ywins.count(w) - xwins.count(w) for w in set(xwins) | set(ywins)}
+
+
+def reference_check(pair, max_len):
+    if pair.is_trivial:
+        return Verdict(True, None, max_len)
+    for length in range(1, max_len + 1):
+        bad = [w for w, d in reference_word_discrepancies(pair, length).items() if d]
+        if bad:
+            return Verdict(False, min(bad), length)
+    return Verdict(True, None, max_len)
+
+
+def reference_norm(pair, max_support):
+    if pair.is_trivial:
+        return Fraction(0)
+    return max(
+        Fraction(sum(abs(d) for d in reference_word_discrepancies(pair, n).values()), n)
+        for n in range(1, max_support + 1)
+    )
+
+
+@st.composite
+def evp_pairs_differing_on_pads(draw):
+    """Eventually periodic pairs on 2-4 letters sharing both tails; y is x
+    with symbols changed at a random nonempty set of pad positions, which
+    straddles the origin whenever both pads are changed."""
+    alphabet = alphabet_of_size(draw(st.integers(2, 4)))
+    sym = st.integers(0, alphabet.size - 1)
+    u = tuple(draw(st.lists(sym, min_size=1, max_size=4)))
+    w = tuple(draw(st.lists(sym, min_size=1, max_size=4)))
+    pads = draw(st.lists(sym, min_size=1, max_size=10))
+    split = draw(st.integers(0, len(pads)))
+    changed = draw(st.sets(st.integers(0, len(pads) - 1), min_size=1))
+    bumps = [draw(st.integers(1, alphabet.size - 1)) for _ in range(len(pads))]
+    other = [(s + bumps[i]) % alphabet.size if i in changed else s
+             for i, s in enumerate(pads)]
+    x = EventuallyPeriodic(u, tuple(pads[:split]), tuple(pads[split:]), w, alphabet)
+    y = EventuallyPeriodic(u, tuple(other[:split]), tuple(other[split:]), w, alphabet)
+    pair = certify_asymptotic(x, y, radius=16)
+    assert pair.diff == frozenset(i - split for i in changed)
+    return pair
+
+
+@st.composite
+def substituted_sturmian_pairs(draw):
+    """phi(x, y) for the golden or sqrt2/2 lower/upper pair moved to difference
+    set {0, 1}, phi a non-commuting substitution onto 2-4 letters."""
+    slope = draw(st.sampled_from([GOLDEN, SQRT2_HALF]))
+    codomain = alphabet_of_size(draw(st.integers(2, 4)))
+    image = st.lists(st.integers(0, codomain.size - 1), min_size=1, max_size=4).map(tuple)
+    phi = Substitution({0: draw(image), 1: draw(image)}, BINARY, codomain)
+    assume(phi.images[0] + phi.images[1] != phi.images[1] + phi.images[0])
+    base = certify_asymptotic(MechanicalLower(slope), MechanicalUpper(slope), radius=4)
+    return substitute_pair(phi, shift_pair(base, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(evp_pairs_differing_on_pads(), substituted_sturmian_pairs()))
+def test_engine_matches_brute_force(pair):
+    for max_len in range(1, 13):
+        assert check_indistinguishable(pair, max_len) == reference_check(pair, max_len)
+        assert ns_norm_lower_bound(pair, max_len) == reference_norm(pair, max_len)
 
 
 def brute_norm(pair, max_support):
