@@ -49,11 +49,13 @@ from .sequences import (
     SequenceOracle,
     Substitution,
     render_window,
+    render_word,
     reverse,
     shift,
     substitute,
 )
 from .slopes import parse_slope
+from .words import Word
 
 SCHEMA_VERSION = 1
 
@@ -232,12 +234,12 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def staircase(x: SequenceOracle, lo: int, hi: int) -> str:
+def staircase(word: Word) -> str:
     """Monospace lattice path: each 0 is a step right, each 1 a step up."""
     cells: dict[tuple[int, int], str] = {}
     row = col = 0
-    for n in range(lo, hi + 1):
-        if x.at(n) == 0:
+    for symbol in word:
+        if symbol == 0:
             cells[(row, col)] = "_"
             col += 1
         else:
@@ -268,15 +270,16 @@ def _word_str(alphabet: Alphabet, word) -> str:
 def cmd_generate(args) -> int:
     x = parse_oracle(args.expr)
     lo, hi = _parse_window(args.window)
+    word = x.window(lo, hi)
     if args.format == "staircase":
-        print(staircase(x, lo, hi))
+        print(staircase(word))
         return EXIT_PASS
-    rendered = render_window(x, lo, hi)
+    rendered = render_word(word, x.alphabet, lo)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "generate",
         "window": [lo, hi],
-        "symbols": _word_str(x.alphabet, x.window(lo, hi)),
+        "symbols": _word_str(x.alphabet, word),
         "rendered": rendered,
     }
     _emit(doc, args.format == "json", rendered)

@@ -39,6 +39,7 @@ from .sequences import (
     oracles_equal,
     shift,
     substitute,
+    window_difference,
 )
 from .words import Word, occurrences
 
@@ -73,9 +74,9 @@ def return_words(x: SequenceOracle, w: Word, window: tuple[int, int]) -> ReturnW
         raise ValueError(f"marker occurs {len(occ)} time(s) in window {window}")
     rets, crets = set(), set()
     for a, b in zip(occ, occ[1:]):
-        rets.add(x.window(a, b - 1))
+        rets.add(text[a - lo:b - lo])
         if b + len(w) - 1 <= hi:
-            crets.add(x.window(a, b + len(w) - 1))
+            crets.add(text[a - lo:b - lo + len(w)])
     return ReturnWordSet(tuple(w), frozenset(rets), frozenset(crets), window)
 
 
@@ -86,6 +87,7 @@ class DerivedView(SequenceOracle):
     i_{k+1}, recoded through a fixed catalog; i_0 is the smallest occurrence
     >= 0.  Occurrence lists grow lazily by scanning the base in chunks, so
     the view stays exact for positions far beyond the construction window.
+    A window [lo, hi] reads the base once, over [i_lo, i_{hi+1}).
     """
 
     def __init__(self, base: SequenceOracle, marker: int,
@@ -142,14 +144,27 @@ class DerivedView(SequenceOracle):
     def i0(self) -> int:
         return self.occurrence(0)
 
-    def _at(self, k: int) -> int:
-        word = self.base.window(self.occurrence(k), self.occurrence(k + 1) - 1)
-        sid = self.catalog.get(word)
-        if sid is None:
-            raise ValueError(
-                f"return word {word} not in the catalog; rebuild with a larger window"
-            )
-        return sid
+    def occurrences(self, lo: int, hi: int) -> list[int]:
+        """The marker occurrences i_lo, ..., i_hi."""
+        self.occurrence(lo)
+        self.occurrence(hi)
+        left = self._left[max(-hi - 1, 0):-lo][::-1] if lo < 0 else []  # i_lo .. i_min(hi, -1)
+        return left + (self._right[max(lo, 0):hi + 1] if hi >= 0 else [])
+
+    def _window(self, lo: int, hi: int) -> Word:
+        occ = self.occurrences(lo, hi + 1)
+        first = occ[0]
+        text = self.base.window(first, occ[-1] - 1)
+        out = []
+        for a, b in zip(occ, occ[1:]):
+            word = text[a - first:b - first]
+            sid = self.catalog.get(word)
+            if sid is None:
+                raise ValueError(
+                    f"return word {word} not in the catalog; rebuild with a larger window"
+                )
+            out.append(sid)
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"derived({self.base!r}, marker={self.marker})"
@@ -179,13 +194,10 @@ def _collect_catalog(views: list[tuple[SequenceOracle, int]], marker: int,
             raise GapError(
                 f"marker {marker} does not straddle the origin in window {window}"
             )
-        ordered = []
-        for a, b in zip(nonneg, nonneg[1:]):
-            ordered.append(base.window(a, b - 1))
+        ordered = [text[a - lo:b - lo] for a, b in zip(nonneg, nonneg[1:])]
         # derived positions -1, -2, ...: walk occurrences leftward from i_0
         leftward = [nonneg[0]] + list(reversed(neg))
-        for b, a in zip(leftward, leftward[1:]):
-            ordered.append(base.window(a, b - 1))
+        ordered += [text[a - lo:b - lo] for b, a in zip(leftward, leftward[1:])]
         for word in ordered:
             if word not in catalog:
                 catalog.append(word)
@@ -235,10 +247,7 @@ def derived_pair(pair: AsymptoticPair, a: int, window: tuple[int, int]) -> Asymp
     catalog = {w: i for i, w in enumerate(catalog_words)}
     dx = DerivedView(pair.x, a, catalog, alphabet)
     dy = DerivedView(pair.y, a, catalog, alphabet)
-    diff = frozenset(
-        t for t in range(-1, max(n_a, 1)) if dx.at(t) != dy.at(t)
-    )
-    return AsymptoticPair(dx, dy, diff)
+    return AsymptoticPair(dx, dy, window_difference(dx, dy, -1, max(n_a, 1) - 1))
 
 
 def substitution_preserves_check(phi: Substitution, pair: AsymptoticPair,
@@ -346,8 +355,8 @@ def _verify_alignment(pair: AsymptoticPair, rx: SequenceOracle, ry: SequenceOrac
     lo, hi = window
     xw = pair.x.window(lo, hi)
     yw = pair.y.window(lo, hi)
-    rxw = tuple(rx.at(n + m) for n in range(lo, hi + 1))
-    ryw = tuple(ry.at(n + m) for n in range(lo, hi + 1))
+    rxw = rx.window(lo + m, hi + m)
+    ryw = ry.window(lo + m, hi + m)
     if xw == rxw and yw == ryw:
         return True
     if xw == ryw and yw == rxw:

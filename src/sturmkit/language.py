@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .patterns import AsymptoticPair, check_indistinguishable, shift_pair, substitute_pair
 from .sequences import BINARY, SequenceOracle, Substitution
-from .words import Word
+from .words import Word, factor_classes
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,18 @@ def factors(x: SequenceOracle, n: int, window: tuple[int, int]) -> FactorSet:
 
 
 def complexity_profile(x: SequenceOracle, max_n: int, window: tuple[int, int]) -> list[int]:
-    """[#L_1, ..., #L_max_n] as witnessed by the window, which is read once."""
+    """[#L_1, ..., #L_max_n] as witnessed by the window.
+
+    The window is read once and its factors are counted by class refinement
+    (:func:`words.factor_classes`) in O(max_n * window length).
+    """
     lo, hi = window
     if hi - lo + 1 < max_n:
         raise ValueError(f"window {window} shorter than factor length {max_n}")
-    text = x.window(lo, hi) if max_n > 0 else ()
-    return [len(_slices(text, n)) for n in range(1, max_n + 1)]
+    if max_n < 1:
+        return []
+    text = x.window(lo, hi)
+    return [count for _, count in factor_classes((text,), len(text), x.alphabet.size, max_n)]
 
 
 def special_factors(x: SequenceOracle, n: int, window: tuple[int, int],
@@ -98,8 +104,12 @@ def complexity_bounds_check(pair: AsymptoticPair, max_n: int) -> bool:
         )
     lo, hi = pair.span()
     interval = hi - lo + 1
-    for n in range(1, max_n + 1):
-        count = len(factors(pair.x, n, complete_factor_window(pair, n)).words)
+    # the widest complete window is read once; the one for n starts at index max_n - n
+    wlo, whi = complete_factor_window(pair, max_n)
+    text = pair.x.window(wlo, whi)
+    levels = factor_classes((text,), len(text), pair.alphabet.size, max_n)
+    for n, ((classes,), _) in enumerate(levels, start=1):
+        count = len(set(classes[max_n - n:hi - lo + max_n]))
         if not (n + 1 <= count <= n + interval - 1):
             return False
     return True

@@ -24,8 +24,9 @@ from .sequences import (
     reverse,
     shift,
     substitute,
+    window_difference,
 )
-from .words import Word
+from .words import Word, factor_classes
 
 __all__ = [
     "Pattern",
@@ -81,8 +82,18 @@ class Pattern:
     def translated(self, k: int) -> "Pattern":
         return Pattern(tuple((p + k, s) for p, s in self.cells))
 
+    @property
+    def extent(self) -> tuple[int, int]:
+        """Smallest and largest support position."""
+        return self.cells[0][0], self.cells[-1][0]
+
+    def matches_in(self, word: Word, i: int) -> bool:
+        """Does the pattern match the word placed so that index i is its origin?"""
+        return all(word[i + p] == s for p, s in self.cells)
+
     def matches_at(self, x: SequenceOracle, n: int) -> bool:
-        return all(x.at(n + p) == s for p, s in self.cells)
+        lo, hi = self.extent
+        return self.matches_in(x.window(n + lo, n + hi), -lo)
 
 
 @dataclass(frozen=True)
@@ -157,33 +168,35 @@ def substitute_pair(phi: Substitution, pair: AsymptoticPair) -> AsymptoticPair:
     if pair.is_trivial:
         return AsymptoticPair(ix, iy, frozenset())
     lo, hi = pair.span()
-
-    def start(z: SequenceOracle, i: int) -> int:
-        if i >= 0:
-            return sum(phi.image_len(z.at(t)) for t in range(i))
-        return -sum(phi.image_len(z.at(t)) for t in range(i, 0))
-
-    lx, rx = start(pair.x, lo), start(pair.x, hi + 1)
-    ly, ry = start(pair.y, lo), start(pair.y, hi + 1)
+    lx, rx = ix.block_start(lo), ix.block_start(hi + 1)
+    ly, ry = iy.block_start(lo), iy.block_start(hi + 1)
     if lx != ly or rx != ry:
         return AsymptoticPair(ix, iy, difference_set(ix, iy))
-    diff = frozenset(n for n in range(lx, rx) if ix.at(n) != iy.at(n))
-    return AsymptoticPair(ix, iy, diff)
+    return AsymptoticPair(ix, iy, window_difference(ix, iy, lx, rx - 1))
 
 
 def occurrences_in(p: Pattern, x: SequenceOracle, window: tuple[int, int]) -> set[int]:
-    """{n in [lo, hi] : the pattern matches x at n}."""
+    """{n in [lo, hi] : the pattern matches x at n}; x is read once."""
     lo, hi = window
-    return {n for n in range(lo, hi + 1) if p.matches_at(x, n)}
+    if lo > hi:
+        return set()
+    plo, phi = p.extent
+    text = x.window(lo + plo, hi + phi)
+    return {n for n in range(lo, hi + 1) if p.matches_in(text, n - lo - plo)}
 
 
 def discrepancy(p: Pattern, pair: AsymptoticPair) -> int:
-    """Occurrences of p in y meeting F minus occurrences in x meeting F."""
+    """Occurrences of p in y meeting F minus occurrences in x meeting F.
+
+    Reads x and y once, over the hull of the candidate placements.
+    """
+    if pair.is_trivial:
+        return 0
     positions = {f - s for f in pair.diff for s in p.support}
-    return sum(
-        int(p.matches_at(pair.y, n)) - int(p.matches_at(pair.x, n))
-        for n in positions
-    )
+    plo, phi = p.extent
+    lo, hi = min(positions) + plo, max(positions) + phi
+    xs, ys = pair.x.window(lo, hi), pair.y.window(lo, hi)
+    return sum(int(p.matches_in(ys, n - lo)) - int(p.matches_in(xs, n - lo)) for n in positions)
 
 
 def _discrepancy_levels(pair: AsymptoticPair, max_len: int) -> Iterator[tuple]:
@@ -201,12 +214,8 @@ def _discrepancy_levels(pair: AsymptoticPair, max_len: int) -> Iterator[tuple]:
     base = lo_f - max_len + 1
     xs = pair.x.window(base, hi_f + max_len - 1)
     ys = pair.y.window(base, hi_f + max_len - 1)
-    size = pair.alphabet.size
-    cx = cy = [0] * (hi_f - base + 1)  # length 0: every start holds the empty word
-    for n in range(1, max_len + 1):
-        ids: dict[int, int] = {}  # setdefault(key, len(ids)) numbers new keys 0, 1, ...
-        cx = [ids.setdefault(c * size + s, len(ids)) for c, s in zip(cx, xs[n - 1:])]
-        cy = [ids.setdefault(c * size + s, len(ids)) for c, s in zip(cy, ys[n - 1:])]
+    levels = factor_classes((xs, ys), hi_f - base + 1, pair.alphabet.size, max_len)
+    for n, ((cx, cy), _) in enumerate(levels, start=1):
         first = max_len - n  # index of the start min F - n + 1
         in_x, in_y = Counter(cx[first:]), Counter(cy[first:])
         deltas = {} if in_x == in_y else {c: d for c in in_x | in_y if (d := in_y[c] - in_x[c])}

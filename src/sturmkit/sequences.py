@@ -3,8 +3,20 @@
 The oracle algebra is closed under the constructions used throughout the
 library: mechanical words (rational or quadratic-irrational slope),
 eventually periodic sequences ``^inf(u) y . z (w)^inf``, shifts, reversals
-and substitution images.  Every oracle answers ``at(n)`` for any integer n
-without approximation.
+and substitution images.  Every oracle answers ``window(lo, hi)`` and
+``at(n)`` for any integers without approximation.  The window is the
+primitive read: each oracle builds its window from one window of what it is
+built on, so a read costs
+
+* O(hi - lo) integer operations for a mechanical word,
+* slicing and tiling for an eventually periodic sequence,
+* one window of the base for a shift or a reversal,
+* for a substitution image, O(1) exact floors to find its first and last
+  block over a (possibly shifted) mechanical base, or a bisection in lazily
+  extended prefix sums over any other base, plus one window of the base over
+  those blocks.
+
+Nothing is memoised.
 
 A private normalization pass reduces any oracle in the algebra to one of
 three normal forms (eventually periodic / irrational mechanical /
@@ -16,9 +28,12 @@ certification on top of this.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Optional, Union
 
 from .slopes import (
@@ -27,13 +42,12 @@ from .slopes import (
     ceil_mul_add,
     check_slope,
     floor_mul_add,
+    floor_ratio,
+    floor_steps,
     format_slope,
     is_rational,
 )
 from .words import Word, primitive_root
-
-_MEMO_CAP = 4096
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -59,7 +73,7 @@ class Alphabet:
         return tuple(self.index(ch) for ch in text)
 
     def word_to_str(self, word: Word) -> str:
-        return "".join(self.glyphs[s] for s in word)
+        return "".join(map(self.glyphs.__getitem__, word))
 
 
 BINARY = Alphabet(("0", "1"))
@@ -97,10 +111,7 @@ class Substitution:
         )
 
     def __call__(self, word: Word) -> Word:
-        out: list[int] = []
-        for s in word:
-            out.extend(self.images[s])
-        return tuple(out)
+        return tuple(chain.from_iterable(map(self.images.__getitem__, word)))
 
     def image_len(self, symbol: int) -> int:
         return len(self.images[symbol])
@@ -140,74 +151,95 @@ def identity_substitution(alphabet: Alphabet) -> Substitution:
 
 
 class SequenceOracle:
-    """Base class; subclasses implement ``_at``.  Instances are immutable.
+    """Base class of the oracle algebra.  Instances are immutable.
 
-    ``at`` keeps a bounded per-oracle memo of evaluated positions.
+    ``window(lo, hi)`` is the primitive read and ``at(n)`` is
+    ``window(n, n)[0]``; subclasses do not override either.  An oracle of the
+    algebra implements ``_window(lo, hi)`` (called with lo <= hi) and reads
+    whatever it is built on through one ``window`` of that oracle.  An oracle
+    outside the algebra whose symbols are computed one by one may implement
+    ``_at(n)`` instead.
     """
 
     alphabet: Alphabet
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._memo: dict[int, int] = {}
 
     def _at(self, n: int) -> int:
         raise NotImplementedError
 
+    def _window(self, lo: int, hi: int) -> Word:
+        return tuple(self._at(n) for n in range(lo, hi + 1))
+
     def at(self, n: int) -> int:
-        memo = self._memo
-        v = memo.get(n)
-        if v is None:
-            v = self._at(n)
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo[n] = v
-        return v
+        return self._window(n, n)[0]
 
     def window(self, lo: int, hi: int) -> Word:
         """The word x_lo ... x_hi (inclusive)."""
         if lo > hi:
             raise ValueError("window requires lo <= hi")
-        return tuple(self.at(n) for n in range(lo, hi + 1))
+        return self._window(lo, hi)
 
     # recurrence metadata for oracles outside the closed algebra
     known_recurrent: Optional[bool] = None
 
 
-class MechanicalLower(SequenceOracle):
-    """n -> floor(alpha*(n+1)+rho) - floor(alpha*n+rho), over the binary alphabet."""
+class Mechanical(SequenceOracle):
+    """Mechanical word of slope alpha in [0, 1] and intercept rho, binary alphabet.
+
+    A window of length L costs O(L) integer operations at any position
+    (:func:`slopes.floor_steps`): a remainder carried modulo the denominator
+    for a rational slope, fixed-point carries checked against one exact floor
+    for a quadratic one.
+    """
+
+    kind: str  # 'lower' | 'upper'
 
     def __init__(self, alpha: Slope, rho: Fraction = Fraction(0)):
         super().__init__(BINARY)
         self.alpha = check_slope(alpha)
         self.rho = Fraction(rho)
 
-    def _at(self, n: int) -> int:
-        return floor_mul_add(self.alpha, n + 1, self.rho) - floor_mul_add(self.alpha, n, self.rho)
+    def height(self, n: int) -> int:
+        """floor (lower) or ceil (upper) of alpha*n + rho; x_0 + ... + x_{n-1} = height(n) - height(0)."""
+        rounding = floor_mul_add if self.kind == "lower" else ceil_mul_add
+        return rounding(self.alpha, n, self.rho)
+
+    def _window(self, lo: int, hi: int) -> Word:
+        if self.kind == "lower":
+            return floor_steps(self.alpha, lo, hi, self.rho)
+        # ceil(alpha*(n+1)+rho) - ceil(alpha*n+rho) = floor(-alpha*n-rho) - floor(-alpha*(n+1)-rho)
+        # is the lower step of (alpha, -rho) at -n-1
+        return floor_steps(self.alpha, -hi - 1, -lo - 1, -self.rho)[::-1]
 
     def __repr__(self) -> str:
-        return f"lower({format_slope(self.alpha)},{self.rho})"
+        return f"{self.kind}({format_slope(self.alpha)},{self.rho})"
 
 
-class MechanicalUpper(SequenceOracle):
-    """Ceiling analogue of :class:`MechanicalLower`."""
+class MechanicalLower(Mechanical):
+    """n -> floor(alpha*(n+1)+rho) - floor(alpha*n+rho)."""
 
-    def __init__(self, alpha: Slope, rho: Fraction = Fraction(0)):
-        super().__init__(BINARY)
-        self.alpha = check_slope(alpha)
-        self.rho = Fraction(rho)
+    kind = "lower"
 
-    def _at(self, n: int) -> int:
-        return ceil_mul_add(self.alpha, n + 1, self.rho) - ceil_mul_add(self.alpha, n, self.rho)
 
-    def __repr__(self) -> str:
-        return f"upper({format_slope(self.alpha)},{self.rho})"
+class MechanicalUpper(Mechanical):
+    """n -> ceil(alpha*(n+1)+rho) - ceil(alpha*n+rho)."""
+
+    kind = "upper"
+
+
+def _tile(period: Word, start: int, count: int) -> Word:
+    """count symbols of period^inf, from index start (taken mod the period)."""
+    start %= len(period)
+    return (period * ((start + count) // len(period) + 1))[start:start + count]
 
 
 class EventuallyPeriodic(SequenceOracle):
     """``^inf(u) y . z (w)^inf``: u repeats to the left, w to the right.
 
-    Position 0 is the first symbol of z (or of w when z is empty).
+    Position 0 is the first symbol of z (or of w when z is empty).  A window
+    is cut from the pads and tiled from the periods.
     """
 
     def __init__(self, left_period: Word, left_pad: Word, right_pad: Word,
@@ -226,16 +258,18 @@ class EventuallyPeriodic(SequenceOracle):
         f = alphabet.word_from_str
         return cls(f(u), f(y), f(z), f(w), alphabet)
 
-    def _at(self, n: int) -> int:
-        if n >= 0:
-            if n < len(self.z):
-                return self.z[n]
-            return self.w[(n - len(self.z)) % len(self.w)]
-        j = -n  # distance to the left of the point, j >= 1
-        if j <= len(self.y):
-            return self.y[len(self.y) - j]
-        j -= len(self.y)
-        return self.u[len(self.u) - 1 - (j - 1) % len(self.u)]
+    def _window(self, lo: int, hi: int) -> Word:
+        ly, lz = len(self.y), len(self.z)
+        out: Word = ()
+        if lo < -ly:  # x_n = u[(n + |y|) mod |u|] left of the pads
+            out += _tile(self.u, lo + ly, min(hi, -ly - 1) - lo + 1)
+        a, b = max(lo, -ly), min(hi, lz - 1)
+        if a <= b:
+            out += (self.y + self.z)[a + ly:b + ly + 1]
+        if hi >= lz:  # x_n = w[(n - |z|) mod |w|] right of the pads
+            a = max(lo, lz)
+            out += _tile(self.w, a - lz, hi - a + 1)
+        return out
 
     def __repr__(self) -> str:
         g = self.alphabet.word_to_str
@@ -251,8 +285,8 @@ class Shift(SequenceOracle):
         self.k = k
         self.known_recurrent = base.known_recurrent  # shifting preserves recurrence
 
-    def _at(self, n: int) -> int:
-        return self.base.at(n + self.k)
+    def _window(self, lo: int, hi: int) -> Word:
+        return self.base.window(lo + self.k, hi + self.k)
 
     def __repr__(self) -> str:
         return f"shift({self.base!r},{self.k})"
@@ -266,8 +300,8 @@ class Reversal(SequenceOracle):
         self.base = base
         self.known_recurrent = base.known_recurrent
 
-    def _at(self, n: int) -> int:
-        return self.base.at(-n)
+    def _window(self, lo: int, hi: int) -> Word:
+        return self.base.window(-hi, -lo)[::-1]
 
     def __repr__(self) -> str:
         return f"rev({self.base!r})"
@@ -277,7 +311,14 @@ class SubstImage(SequenceOracle):
     """Image of a sequence under a substitution.
 
     With anchor a, position a of the image is the first symbol of
-    phi(base_0); block boundaries are cached prefix sums, extended lazily.
+    phi(base_0): block i occupies [block_start(i), block_start(i+1)).  A
+    window expands the blocks it meets from one window of the base.
+
+    Over a mechanical base, possibly shifted, block starts have a closed
+    form in one exact floor, and the block holding a position is found from
+    an exact estimate and a few corrections, so a window costs O(1) exact
+    floors plus its length.  Over any other base the block starts are prefix
+    sums, extended lazily, at least doubling, by one ``base.window`` each time.
     """
 
     def __init__(self, base: SequenceOracle, phi: Substitution, anchor: int = 0):
@@ -289,43 +330,77 @@ class SubstImage(SequenceOracle):
         self.anchor = anchor
         # image of a recurrent sequence is recurrent; nothing follows otherwise
         self.known_recurrent = True if base.known_recurrent else None
-        # block i occupies [start(i), start(i+1)); invariant: start(0) = anchor
-        self._fwd = [anchor]   # start(0), start(1), ...
-        self._bwd = [anchor]   # start(0), start(-1), ...
+        self._lens = [phi.image_len(s) for s in range(phi.domain.size)]
+        mech, k = (base.base, base.k) if isinstance(base, Shift) else (base, 0)
+        # closed form: (mechanical word, its offset k, height at k), else None
+        self._mech = (mech, k, mech.height(k)) if isinstance(mech, Mechanical) else None
+        self._fwd = [anchor]   # block_start(0), block_start(1), ...
+        self._bwd = [anchor]   # block_start(0), block_start(-1), ...
 
-    def _start(self, i: int) -> int:
+    def block_start(self, i: int) -> int:
+        """Image position where the block of base symbol i begins."""
+        if self._mech is not None:
+            # |phi(0)| per block plus the excess |phi(1)| - |phi(0)| per 1 in base [0, i)
+            mech, k, h0 = self._mech
+            l0, l1 = self._lens
+            return self.anchor + i * l0 + (l1 - l0) * (mech.height(k + i) - h0)
         if i >= 0:
-            while len(self._fwd) <= i:
-                j = len(self._fwd) - 1
-                self._fwd.append(self._fwd[-1] + self.phi.image_len(self.base.at(j)))
+            if len(self._fwd) <= i:
+                self._extend_right(i - len(self._fwd) + 1)
             return self._fwd[i]
-        while len(self._bwd) <= -i:
-            j = -len(self._bwd)  # next block index going left
-            self._bwd.append(self._bwd[-1] - self.phi.image_len(self.base.at(j)))
+        if len(self._bwd) <= -i:
+            self._extend_left(-i - len(self._bwd) + 1)
         return self._bwd[-i]
 
-    def _block_of(self, n: int) -> int:
-        if n >= self.anchor:
-            i = 1
-            while self._start(i) <= n:
-                i *= 2
-            return bisect_right(self._fwd, n) - 1
-        i = -1
-        while self._start(i) > n:
-            i *= 2
-        # bwd[j] = start(-j) is strictly decreasing; find minimal j with bwd[j] <= n
-        lo, hi = 0, -i
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._bwd[mid] <= n:
-                hi = mid
-            else:
-                lo = mid
-        return -hi
+    def _extend_right(self, count: int) -> None:
+        """Cache the starts of at least ``count`` more blocks to the right."""
+        fwd, lens = self._fwd, self._lens
+        i, s = len(fwd) - 1, fwd[-1]  # block i is the first one of unknown length
+        count = max(count, i)  # doubling keeps lazy extension linear overall
+        for sym in self.base.window(i, i + count - 1):
+            s += lens[sym]
+            fwd.append(s)
 
-    def _at(self, n: int) -> int:
-        i = self._block_of(n)
-        return self.phi.images[self.base.at(i)][n - self._start(i)]
+    def _extend_left(self, count: int) -> None:
+        """Cache the starts of at least ``count`` more blocks to the left."""
+        bwd, lens = self._bwd, self._lens
+        j, s = len(bwd), bwd[-1]  # block -j is the first one of unknown start
+        count = max(count, j - 1)
+        for sym in reversed(self.base.window(-j - count + 1, -j)):
+            s -= lens[sym]
+            bwd.append(s)
+
+    def _block_of(self, n: int) -> tuple[int, int, int]:
+        """(i, block_start(i), block_start(i+1)) for the block i holding position n."""
+        if self._mech is not None:
+            l0, l1 = self._lens
+            # start(i) is within |l1 - l0| of anchor + i*(l0 + (l1 - l0)*alpha)
+            i = floor_ratio(n - self.anchor, l0, l1 - l0, self._mech[0].alpha)
+            start, end = self.block_start(i), self.block_start(i + 1)
+            while start > n:
+                i, start, end = i - 1, self.block_start(i - 1), start
+            while end <= n:
+                i, start, end = i + 1, end, self.block_start(i + 2)
+            return i, start, end
+        shortest = min(self._lens)  # blocks at least this long cover n in one read
+        if n >= self.anchor:
+            fwd = self._fwd
+            if fwd[-1] <= n:
+                self._extend_right((n - fwd[-1]) // shortest + 1)
+            i = bisect_right(fwd, n) - 1
+            return i, fwd[i], fwd[i + 1]
+        bwd = self._bwd
+        if bwd[-1] > n:
+            self._extend_left((bwd[-1] - n) // shortest + 1)
+        # bwd is strictly decreasing: the block is -j for the least j with bwd[j] <= n
+        j = bisect_left(bwd, -n, key=operator.neg)
+        return -j, bwd[j], bwd[j - 1]
+
+    def _window(self, lo: int, hi: int) -> Word:
+        i, start, end = self._block_of(lo)
+        j = i if hi < end else self._block_of(hi)[0]
+        cut = lo - start
+        return self.phi(self.base.window(i, j))[cut:cut + hi - lo + 1]
 
     def __repr__(self) -> str:
         return f"sub({self.phi!r},{self.base!r},@{self.anchor})"
@@ -347,19 +422,27 @@ def reverse(x: SequenceOracle) -> SequenceOracle:
     return Reversal(x)
 
 
-def substitute(phi: Substitution, x: SequenceOracle) -> SequenceOracle:
+def substitute(phi: Substitution, x: SequenceOracle) -> SubstImage:
     """Image oracle with anchor 0: the image of x_0 starts at position 0."""
     return SubstImage(x, phi, 0)
 
 
+def render_word(word: Word, alphabet: Alphabet, lo: int) -> str:
+    """Glyph string of a word read from position lo, the origin marked before x_0."""
+    if not lo <= 0 < lo + len(word):
+        return alphabet.word_to_str(word)
+    return alphabet.word_to_str(word[:-lo]) + "." + alphabet.word_to_str(word[-lo:])
+
+
 def render_window(x: SequenceOracle, lo: int, hi: int) -> str:
     """Glyph string of x_lo..x_hi with the origin point marked before x_0."""
-    out = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            out.append(".")
-        out.append(x.alphabet.glyph(x.at(n)))
-    return "".join(out)
+    return render_word(x.window(lo, hi), x.alphabet, lo)
+
+
+def window_difference(x: SequenceOracle, y: SequenceOracle, lo: int, hi: int) -> frozenset[int]:
+    """Positions in [lo, hi] where x and y differ, from one window of each."""
+    return frozenset(n for n, a, b in zip(range(lo, hi + 1), x.window(lo, hi), y.window(lo, hi))
+                     if a != b)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +473,6 @@ class NFMech:
     rho: Fraction
     offset: int
 
-    def read(self, n: int) -> int:
-        m = n + self.offset
-        if self.kind == "lower":
-            return floor_mul_add(self.alpha, m + 1, self.rho) - floor_mul_add(self.alpha, m, self.rho)
-        return ceil_mul_add(self.alpha, m + 1, self.rho) - ceil_mul_add(self.alpha, m, self.rho)
-
     def as_oracle(self) -> SequenceOracle:
         cls = MechanicalLower if self.kind == "lower" else MechanicalUpper
         return shift(cls(self.alpha, self.rho), self.offset)
@@ -410,21 +487,14 @@ class NFSubst:
     anchor: int
     oracle: SequenceOracle  # for value reads
 
-    def base_read(self, n: int) -> int:
-        if isinstance(self.base, NFMech):
-            return self.base.read(n)
-        return self.base.oracle.at(n)
+    @cached_property
+    def image(self) -> SubstImage:
+        """The image rebuilt from phi, base and anchor; it supplies block starts."""
+        return SubstImage(_nf_base_oracle(self.base), self.phi, self.anchor)
 
     def start(self, i: int) -> int:
         """Image position where the block of base symbol i begins."""
-        s = self.anchor
-        if i >= 0:
-            for t in range(i):
-                s += self.phi.image_len(self.base_read(t))
-        else:
-            for t in range(i, 0):
-                s -= self.phi.image_len(self.base_read(t))
-        return s
+        return self.image.block_start(i)
 
 
 @dataclass
@@ -460,12 +530,11 @@ def _common_root_collapse(phi: Substitution) -> Optional[Word]:
 
 
 def normal_form(x: SequenceOracle) -> NormalForm:
-    if isinstance(x, (MechanicalLower, MechanicalUpper)):
-        kind = "lower" if isinstance(x, MechanicalLower) else "upper"
+    if isinstance(x, Mechanical):
         if is_rational(x.alpha):
             q = x.alpha.denominator  # x is purely q-periodic
             return NFEvp(x, q, 0, q, 0)
-        return _make_nfmech(kind, x.alpha, x.rho, 0)
+        return _make_nfmech(x.kind, x.alpha, x.rho, 0)
 
     if isinstance(x, EventuallyPeriodic):
         return NFEvp(x, len(x.u), -len(x.y) - len(x.u), len(x.w), len(x.z))
@@ -490,7 +559,7 @@ def normal_form(x: SequenceOracle) -> NormalForm:
             return _make_nfmech(other, nf.alpha, -nf.rho, -nf.offset - 1)
         if isinstance(nf, NFSubst):
             base_rev = _reverse_nf_base(nf.base)
-            l0 = nf.phi.image_len(nf.base_read(0))
+            l0 = nf.start(1) - nf.start(0)
             return NFSubst(nf.phi.reversed_images(), base_rev, -nf.anchor - l0 + 1, x)
         return NFOpaque(x)
 
@@ -499,19 +568,21 @@ def normal_form(x: SequenceOracle) -> NormalForm:
         phi, anchor = x.phi, x.anchor
 
         if isinstance(nf, NFEvp):
-            starts = _nf_block_starts(x, nf)
-            return starts
+            # the periodic parts of the base map to the periodic parts of the image
+            start = x.block_start
+            return NFEvp(x, start(nf.lb) - start(nf.lb - nf.pu), start(nf.lb - nf.pu),
+                         start(nf.rb + nf.pw) - start(nf.rb), start(nf.rb))
         if isinstance(nf, NFSubst):
             # compose the two substitutions; the inner image anchored at 0
             # supplies the realignment term S_z(-inner.anchor)
             z = SubstImage(_nf_base_oracle(nf.base), nf.phi, 0)
-            adj = _image_len_sum(phi, z, -nf.anchor)
+            adj = SubstImage(z, phi).block_start(-nf.anchor)
             composed = phi.compose(nf.phi)
             return _collapse_or_keep(NFSubst(composed, nf.base, anchor - adj, x), x)
         if isinstance(nf, NFMech):
             # absorb the mechanical offset into the anchor
             mech0 = NFMech(nf.kind, nf.alpha, nf.rho, 0)
-            adj = _image_len_sum(phi, mech0.as_oracle(), nf.offset)
+            adj = SubstImage(mech0.as_oracle(), phi).block_start(nf.offset)
             return _collapse_or_keep(NFSubst(phi, mech0, anchor - adj, x), x)
         # opaque base
         return _collapse_or_keep(NFSubst(phi, NFOpaque(x.base), anchor, x), x)
@@ -523,37 +594,11 @@ def _nf_base_oracle(base: Union[NFMech, "NFOpaque"]) -> SequenceOracle:
     return base.as_oracle() if isinstance(base, NFMech) else base.oracle
 
 
-def _image_len_sum(phi: Substitution, seq: SequenceOracle, m: int) -> int:
-    """Signed sum of |phi(seq_t)| over t in [0, m) (negated over [m, 0) if m < 0)."""
-    if m >= 0:
-        return sum(phi.image_len(seq.at(t)) for t in range(m))
-    return -sum(phi.image_len(seq.at(t)) for t in range(m, 0))
-
-
 def _reverse_nf_base(base: Union[NFMech, NFOpaque]) -> Union[NFMech, NFOpaque]:
     if isinstance(base, NFMech):
         other = "upper" if base.kind == "lower" else "lower"
         return _make_nfmech(other, base.alpha, -base.rho, -base.offset - 1)
     return NFOpaque(Reversal(base.oracle))
-
-
-def _nf_block_starts(x: SubstImage, nf: NFEvp) -> NFEvp:
-    """Profile of a substitution image over an eventually periodic base."""
-    phi, base, anchor = x.phi, x.base, x.anchor
-
-    def start(i: int) -> int:
-        s = anchor
-        if i >= 0:
-            for t in range(i):
-                s += phi.image_len(base.at(t))
-        else:
-            for t in range(i, 0):
-                s -= phi.image_len(base.at(t))
-        return s
-
-    pu = sum(phi.image_len(base.at(t)) for t in range(nf.lb - nf.pu, nf.lb))
-    pw = sum(phi.image_len(base.at(t)) for t in range(nf.rb, nf.rb + nf.pw))
-    return NFEvp(x, pu, start(nf.lb - nf.pu), pw, start(nf.rb))
 
 
 def _collapse_or_keep(nf: NFSubst, x: SequenceOracle) -> NormalForm:
@@ -594,13 +639,8 @@ class UncertifiableError(ValueError):
 
 
 def _read_nf(nf: NormalForm, n: int) -> int:
-    if isinstance(nf, NFMech):
-        return nf.read(n)
-    return nf.oracle.at(n)
-
-
-def _window_nf(nf: NormalForm, lo: int, hi: int) -> Word:
-    return tuple(_read_nf(nf, n) for n in range(lo, hi + 1))
+    oracle = nf.as_oracle() if isinstance(nf, NFMech) else nf.oracle
+    return oracle.at(n)
 
 
 def _evp_difference(nx: NFEvp, ny: NFEvp) -> frozenset[int]:
@@ -612,9 +652,7 @@ def _evp_difference(nx: NFEvp, ny: NFEvp) -> frozenset[int]:
         raise NotAsymptoticError("left periodic tails disagree")
     if nx.oracle.window(s0, s0 + pr - 1) != ny.oracle.window(s0, s0 + pr - 1):
         raise NotAsymptoticError("right periodic tails disagree")
-    diff = [n for n in range(t0 - pl, s0 + pr)
-            if nx.oracle.at(n) != ny.oracle.at(n)]
-    return frozenset(diff)
+    return window_difference(nx.oracle, ny.oracle, t0 - pl, s0 + pr - 1)
 
 
 def _mech_difference(nx: NFMech, ny: NFMech) -> frozenset[int]:
@@ -646,9 +684,7 @@ def _subst_difference(nx: NFSubst, ny: NFSubst) -> frozenset[int]:
         if isinstance(nx.base, NFMech):
             raise NotAsymptoticError("image tails shifted against each other")
         raise UncertifiableError("image tails misaligned over an opaque base")
-    return frozenset(
-        n for n in range(lx, rx) if nx.oracle.at(n) != ny.oracle.at(n)
-    )
+    return window_difference(nx.oracle, ny.oracle, lx, rx - 1)
 
 
 def _nf_difference(nx: NormalForm, ny: NormalForm) -> frozenset[int]:
@@ -709,10 +745,8 @@ def _nf_recurrent(nf: NormalForm) -> Optional[bool]:
     if isinstance(nf, NFEvp):
         # fully periodic iff globally pu-periodic; check one exact window
         hi = nf.rb + nf.pw + math.lcm(nf.pu, nf.pw)
-        return all(
-            nf.oracle.at(n) == nf.oracle.at(n + nf.pu)
-            for n in range(nf.lb - nf.pu, hi + 1)
-        )
+        text = nf.oracle.window(nf.lb - nf.pu, hi + nf.pu)
+        return text[nf.pu:] == text[:-nf.pu]
     if isinstance(nf, NFSubst):
         base = True if isinstance(nf.base, NFMech) else nf.base.oracle.known_recurrent
         return True if base else None

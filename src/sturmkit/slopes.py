@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Rational = Fraction
@@ -102,14 +103,10 @@ def _floor_quadratic(A: int, B: int, C: int, d: int) -> int:
     """floor((A + B*sqrt(d)) / C) with C > 0, exactly."""
     if B == 0:
         return A // C
-    s = math.isqrt(B * B * d)  # s <= |B|*sqrt(d) < s+1
-    approx = (A + (s if B > 0 else -(s + 1))) // C
-    # approx is off by at most one; fix with exact comparisons
-    while _sign_a_plus_b_sqrt(A - (approx + 1) * C, B, d) >= 0:
-        approx += 1
-    while _sign_a_plus_b_sqrt(A - approx * C, B, d) < 0:
-        approx -= 1
-    return approx
+    # s < |B|*sqrt(d) < s+1 (the root is irrational), so floor(A + B*sqrt(d))
+    # is A + s or A - s - 1, and floor(x / C) = floor(floor(x) / C)
+    s = math.isqrt(B * B * d)
+    return (A + (s if B > 0 else -(s + 1))) // C
 
 
 def is_rational(alpha: Slope) -> bool:
@@ -131,7 +128,7 @@ def check_slope(alpha: Slope) -> Slope:
 
 def floor_mul_add(alpha: Slope, n: int, rho: Fraction = Fraction(0)) -> int:
     """Exact floor(alpha*n + rho)."""
-    if isinstance(alpha, Fraction):
+    if not isinstance(alpha, QuadraticIrrational):
         return math.floor(alpha * n + rho)
     # (a + b sqrt d)/c * n + p/q = ((a n q + p c) + (b n q) sqrt d) / (c q)
     p, q = rho.numerator, rho.denominator
@@ -142,12 +139,92 @@ def floor_mul_add(alpha: Slope, n: int, rho: Fraction = Fraction(0)) -> int:
 
 def ceil_mul_add(alpha: Slope, n: int, rho: Fraction = Fraction(0)) -> int:
     """Exact ceil(alpha*n + rho)."""
-    if isinstance(alpha, Fraction):
+    if not isinstance(alpha, QuadraticIrrational):
         return math.ceil(alpha * n + rho)
     p, q = rho.numerator, rho.denominator
     A = alpha.a * n * q + p * alpha.c
     B = alpha.b * n * q
     return -_floor_quadratic(-A, -B, alpha.c * q, alpha.d)
+
+
+_FIXED_BITS = 128  # any window fits far below 2^127 symbols
+
+
+@lru_cache(maxsize=64)
+def _fixed_point(alpha: QuadraticIrrational) -> int:
+    """floor(alpha * 2^_FIXED_BITS), the per-step increment of floor_steps."""
+    return _floor_quadratic(alpha.a << _FIXED_BITS, alpha.b << _FIXED_BITS, alpha.c, alpha.d)
+
+
+def floor_steps(alpha: Slope, lo: int, hi: int, rho: Fraction = Fraction(0)) -> tuple[int, ...]:
+    """The steps floor(alpha*(n+1) + rho) - floor(alpha*n + rho) for n = lo..hi.
+
+    Each step is 0 or 1 because 0 <= alpha <= 1, so a run costs O(hi - lo)
+    integer operations.  A rational slope p/q carries the remainder of the
+    numerator modulo the common denominator through one period of q steps,
+    which then repeats.  A quadratic slope is followed in fixed point with
+    K = 128 fractional bits from one exact floor at lo: the running value
+    under-estimates (alpha*n + rho)*2^K by less than 1 + (n - lo), so its
+    integer part is exact unless the fraction sits that close to a carry;
+    there, which practically never happens, the value is re-anchored with one
+    exact floor.
+    """
+    count = hi - lo + 1
+    if count <= 0:
+        return ()
+    r, t = rho.numerator, rho.denominator
+    if not isinstance(alpha, QuadraticIrrational):
+        # floor(alpha*n + rho) = (p*t*n + r*q) // (q*t)
+        p, q = alpha.numerator, alpha.denominator
+        den, inc = q * t, p * t
+        rem = (inc * lo + r * q) % den
+        period = []
+        for _ in range(min(q, count)):
+            rem += inc
+            if rem >= den:
+                rem -= den
+                period.append(1)
+            else:
+                period.append(0)
+        return tuple((period * (count // q + 1))[:count])
+    # (alpha*n + rho) * 2^K = (A + B*sqrt(d)) / (c*t) with A = (a*t*n + r*c) << K, B = (b*t*n) << K
+    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    bits, ct = _FIXED_BITS, c * t
+    one = 1 << bits
+
+    def anchor(n: int) -> tuple[int, int]:
+        """floor(alpha*n + rho) and the fractional part in fixed point, both exact."""
+        return divmod(_floor_quadratic((a * t * n + r * c) << bits, (b * t * n) << bits, ct, d), one)
+
+    step = _fixed_point(alpha)
+    limit = one - 1 - count  # below this the carry of the running value is exact
+    whole, frac = anchor(lo)
+    prev, out = whole, []
+    for n in range(lo + 1, hi + 2):
+        frac += step
+        if frac >= one:
+            frac -= one
+            whole += 1
+        if frac > limit:
+            whole, frac = anchor(n)
+        out.append(whole - prev)
+        prev = whole
+    return tuple(out)
+
+
+def floor_ratio(m: int, u: int, v: int, alpha: Slope) -> int:
+    """Exact floor(m / (u + v*alpha)); requires u + v*alpha > 0."""
+    if not isinstance(alpha, QuadraticIrrational):
+        p, q = alpha.numerator, alpha.denominator
+        return (m * q) // (u * q + v * p)
+    # u + v*alpha = (P + Q*sqrt(d)) / c, and c / (P + Q*sqrt(d)) = c*(P - Q*sqrt(d)) / N
+    d = alpha.d
+    P, Q = u * alpha.c + v * alpha.a, v * alpha.b
+    N = P * P - Q * Q * d
+    A, B = m * alpha.c * P, -m * alpha.c * Q
+    if N < 0:
+        A, B, N = -A, -B, -N
+    return _floor_quadratic(A, B, N, d)
 
 
 def continued_fraction(alpha: Slope, k: int) -> list[int]:

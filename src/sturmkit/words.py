@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 Word = tuple[int, ...]
 
 
@@ -51,6 +53,41 @@ def are_conjugate(u: Word, v: Word) -> bool:
 
 
 def occurrences(w: Word, text: Word) -> list[int]:
-    """All start positions of w inside text (overlaps allowed)."""
-    n, m = len(text), len(w)
-    return [i for i in range(n - m + 1) if text[i:i + m] == w]
+    """All start positions of w inside text (overlaps allowed).
+
+    Knuth-Morris-Pratt: O(len(w) + len(text)) symbol comparisons.
+    """
+    m = len(w)
+    if not m:
+        return list(range(len(text) + 1))
+    f = failure_function(w)
+    out = []
+    k = 0  # length of the longest prefix of w ending at the current symbol
+    for i, s in enumerate(text):
+        while k and s != w[k]:
+            k = f[k - 1]
+        if s == w[k]:
+            k += 1
+        if k == m:
+            out.append(i - m + 1)
+            k = f[k - 1]
+    return out
+
+
+def factor_classes(texts: Sequence[Word], starts: int, size: int,
+                   max_len: int) -> Iterator[tuple[list[list[int]], int]]:
+    """Class ids of the factors of several texts, one length at a time.
+
+    For n = 1..max_len yields (classes, count): classes[t][i] identifies the
+    length-n factor of texts[t] at i, for i < min(starts, len(texts[t]) - n + 1),
+    and count is the number of distinct ids.  Equal factors get equal ids
+    across all the texts.  The id at length n+1 is looked up by (id at n,
+    next symbol) in one dict, so no word is hashed and each length costs
+    O(starts) per text.  Symbols must lie in range(size).
+    """
+    classes = [[0] * starts for _ in texts]  # length 0: every start holds the empty word
+    for n in range(1, max_len + 1):
+        ids: dict[int, int] = {}  # setdefault(key, len(ids)) numbers new keys 0, 1, ...
+        classes = [[ids.setdefault(c * size + s, len(ids)) for c, s in zip(cs, text[n - 1:])]
+                   for cs, text in zip(classes, texts)]
+        yield classes, len(ids)

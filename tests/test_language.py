@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sturmkit as sk
 from sturmkit.language import (
@@ -20,6 +21,7 @@ from sturmkit.sequences import (
     MechanicalLower,
     MechanicalUpper,
     Substitution,
+    alphabet_of_size,
     is_recurrent,
 )
 
@@ -48,6 +50,21 @@ def test_complexity_profiles():
     assert complexity_profile(periodic, 6, (-12, 12)) == [2] * 6
     spike = EventuallyPeriodic.from_strings("0", "", "10", "0")
     assert complexity_profile(spike, 8, (-20, 20)) == list(range(2, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+           st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=4),
+           st.lists(st.integers(0, k - 1), max_size=6), st.lists(st.integers(0, k - 1), max_size=6),
+           st.lists(st.integers(0, k - 1), min_size=1, max_size=4))),
+       st.integers(-30, 30), st.integers(0, 40), st.integers(0, 12))
+def test_complexity_profile_matches_slice_count(parts, lo, extra, max_n):
+    k, u, y, z, w = parts
+    x = EventuallyPeriodic(tuple(u), tuple(y), tuple(z), tuple(w), alphabet_of_size(k))
+    hi = lo + max_n + extra
+    text = x.window(lo, hi)
+    expected = [len({text[i:i + n] for i in range(len(text) - n + 1)}) for n in range(1, max_n + 1)]
+    assert complexity_profile(x, max_n, (lo, hi)) == expected
 
 
 def test_special_factors():

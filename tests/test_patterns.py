@@ -117,9 +117,10 @@ def reference_word_discrepancies(pair, length):
     """Delta_w for every word of the given length occurring in x or y at a
     start in [min F - length + 1, max F]."""
     lo_f, hi_f = pair.span()
-    positions = range(lo_f - length + 1, hi_f + 1)
-    xwins = [pair.x.window(n, n + length - 1) for n in positions]
-    ywins = [pair.y.window(n, n + length - 1) for n in positions]
+    lo, hi = lo_f - length + 1, hi_f + length - 1
+    xs, ys = pair.x.window(lo, hi), pair.y.window(lo, hi)
+    xwins = [xs[i:i + length] for i in range(hi_f - lo + 1)]
+    ywins = [ys[i:i + length] for i in range(hi_f - lo + 1)]
     return {w: ywins.count(w) - xwins.count(w) for w in set(xwins) | set(ywins)}
 
 

@@ -4,12 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sturmkit as sk
+from sturmkit.derive import DerivedView, derived_sequence
 from sturmkit.sequences import (
     BINARY,
     EventuallyPeriodic,
+    Mechanical,
     MechanicalLower,
     MechanicalUpper,
+    Reversal,
+    Shift,
+    SubstImage,
     Substitution,
+    alphabet_of_size,
     difference_set,
     identity_substitution,
     is_recurrent,
@@ -24,7 +30,7 @@ from sturmkit.sequences import (
 )
 from sturmkit.slopes import floor_mul_add, ceil_mul_add
 
-from conftest import GOLDEN, SQRT2_HALF, to_str
+from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, to_str
 
 TM = Substitution({0: (0, 1), 1: (1, 0)}, BINARY, BINARY)
 
@@ -307,3 +313,212 @@ def test_difference_set_fuzz_composed_pairs():
         decided += 1
         assert set(diff) == {n for n in range(-120, 121) if x.at(n) != y.at(n)}
     assert decided > 60  # the fuzz must actually exercise the decided path
+
+
+# ---------------------------------------------------------------------------
+# window reads against the per-symbol evaluators they replaced: differences
+# of exact floors for mechanical words, and a running prefix-sum walk over the
+# blocks of a substitution image
+
+
+def reference_mechanical(x, lo, hi):
+    """Differences of exact floors (lower) or ceilings (upper), position by position."""
+    rounding = floor_mul_add if x.kind == "lower" else ceil_mul_add
+    heights = [rounding(x.alpha, n, x.rho) for n in range(lo, hi + 2)]
+    return [b - a for a, b in zip(heights, heights[1:])]
+
+
+def reference_evp(x, n):
+    if n >= 0:
+        return x.z[n] if n < len(x.z) else x.w[(n - len(x.z)) % len(x.w)]
+    j = -n  # distance to the left of the point, j >= 1
+    if j <= len(x.y):
+        return x.y[len(x.y) - j]
+    return x.u[len(x.u) - 1 - (j - len(x.y) - 1) % len(x.u)]
+
+
+def reference_image(x, lo, hi):
+    """Blocks laid out one by one from the anchor: rightward for positions
+    >= anchor, leftward below it."""
+    out = {}
+    if hi >= x.anchor:
+        base = reference_window(x.base, 0, hi - x.anchor)  # every block has >= 1 symbol
+        pos = x.anchor
+        for s in base:
+            for g in x.phi.images[s]:
+                if lo <= pos <= hi:
+                    out[pos] = g
+                pos += 1
+            if pos > hi:
+                break
+    if lo < x.anchor:
+        base = reference_window(x.base, -(x.anchor - lo), -1)
+        pos = x.anchor
+        for s in reversed(base):
+            for g in reversed(x.phi.images[s]):
+                pos -= 1
+                if lo <= pos <= hi:
+                    out[pos] = g
+            if pos <= lo:
+                break
+    return [out[n] for n in range(lo, hi + 1)]
+
+
+def reference_derived(x, lo, hi):
+    """Marker occurrences found by scanning the base outward from 0."""
+    radius = 64
+    while True:
+        text = reference_window(x.base, -radius, radius)
+        occ = [i - radius for i, s in enumerate(text) if s == x.marker]
+        right = [i for i in occ if i >= 0]
+        left = [i for i in occ if i < 0][::-1]
+        if len(right) > hi + 1 and len(left) >= -lo:
+            break
+        radius *= 2
+    position = {k: i for k, i in enumerate(right)}
+    position.update({-k - 1: i for k, i in enumerate(left)})
+    return [x.catalog[tuple(text[position[k] + radius:position[k + 1] + radius])]
+            for k in range(lo, hi + 1)]
+
+
+def reference_window(x, lo, hi):
+    if isinstance(x, Mechanical):
+        return reference_mechanical(x, lo, hi)
+    if isinstance(x, EventuallyPeriodic):
+        return [reference_evp(x, n) for n in range(lo, hi + 1)]
+    if isinstance(x, Shift):
+        return reference_window(x.base, lo + x.k, hi + x.k)
+    if isinstance(x, Reversal):
+        return reference_window(x.base, -hi, -lo)[::-1]
+    if isinstance(x, SubstImage):
+        return reference_image(x, lo, hi)
+    if isinstance(x, DerivedView):
+        return reference_derived(x, lo, hi)
+    raise TypeError(x)
+
+
+def small_fraction(draw, lo, hi):
+    return Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, 12)))
+
+
+@st.composite
+def mechanical_words(draw):
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from([GOLDEN, SQRT2_HALF, GOLDEN_COMPL,
+                                      sk.QuadraticIrrational(-2, 1, 1, 7)]))
+    else:
+        q = draw(st.integers(1, 40))
+        alpha = Fraction(draw(st.integers(0, q)), q)
+    rho = small_fraction(draw, -20, 20) if draw(st.booleans()) else Fraction(0)
+    cls = draw(st.sampled_from([MechanicalLower, MechanicalUpper]))
+    return cls(alpha, rho)
+
+
+def evps():
+    word = st.lists(st.integers(0, 1), max_size=4).map(tuple)
+    nonempty = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple)
+    return st.builds(EventuallyPeriodic, nonempty, word, word, nonempty, st.just(BINARY))
+
+
+@st.composite
+def wrapped(draw, base):
+    x = draw(base)
+    for _ in range(draw(st.integers(0, 3))):
+        x = shift(x, draw(st.integers(-50, 50))) if draw(st.booleans()) else reverse(x)
+    return x
+
+
+@st.composite
+def images(draw, base):
+    """Substitution image of a binary base onto 2-3 letters, any anchor."""
+    size = draw(st.integers(2, 3))
+    image = st.lists(st.integers(0, size - 1), min_size=1, max_size=4).map(tuple)
+    phi = Substitution({0: draw(image), 1: draw(image)}, BINARY, alphabet_of_size(size))
+    return SubstImage(draw(base), phi, draw(st.integers(-20, 20)))
+
+
+def binary_images(base):
+    """Binary image of a binary base, to nest under another image."""
+    image = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+    return st.builds(lambda x, a, b, anchor: SubstImage(x, Substitution({0: a, 1: b}, BINARY, BINARY), anchor),
+                     base, image, image, st.integers(-5, 5))
+
+
+ORACLES = st.one_of(
+    wrapped(mechanical_words()),
+    wrapped(evps()),
+    images(mechanical_words()),
+    images(wrapped(mechanical_words())),
+    images(evps()),
+    images(binary_images(mechanical_words())),
+    images(binary_images(evps())),
+    wrapped(images(mechanical_words())),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ORACLES, st.integers(-150, 150), st.integers(0, 40))
+def test_window_matches_reference(x, lo, length):
+    hi = lo + length
+    word = x.window(lo, hi)
+    assert list(word) == reference_window(x, lo, hi)
+    assert x.at(lo) == word[0] and x.at(hi) == x.window(hi, hi)[0] == word[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(wrapped(mechanical_words()), st.sampled_from([1, -1]), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(0, 80))
+def test_far_mechanical_window_matches_reference(x, sign, offset, length):
+    lo = sign * 10 ** 50 + offset
+    word = x.window(lo, lo + length)
+    assert list(word) == reference_window(x, lo, lo + length)
+    assert x.at(lo + length) == word[-1]
+
+
+def test_far_image_window_matches_reference():
+    three = alphabet_of_size(3)
+    cases = [
+        (SubstImage(MechanicalLower(GOLDEN, Fraction(2, 7)),
+                    Substitution({0: (0, 2), 1: (1, 1, 0)}, BINARY, three), 5), 10 ** 5),
+        (SubstImage(reverse(shift(MechanicalUpper(SQRT2_HALF), 9)),
+                    Substitution({0: (1,), 1: (0, 1, 1, 0)}, BINARY, BINARY), -3), -10 ** 5),
+        (SubstImage(shift(MechanicalUpper(Fraction(7, 19)), -4),
+                    Substitution({0: (2, 1, 0, 0), 1: (1,)}, BINARY, three), 0), -2 * 10 ** 4 + 17),
+    ]
+    for x, lo in cases:
+        word = x.window(lo, lo + 40)
+        assert list(word) == reference_window(x, lo, lo + 40)
+        assert x.at(lo + 40) == word[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([MechanicalLower(GOLDEN), MechanicalUpper(SQRT2_HALF),
+                        substitute(TM, MechanicalLower(GOLDEN)),
+                        substitute(Substitution({0: (0, 1, 0), 1: (1, 1)}, BINARY, BINARY),
+                                   shift(MechanicalUpper(GOLDEN), 3))]),
+       st.integers(0, 1), st.integers(-60, 60), st.integers(0, 30))
+def test_derived_view_window_matches_reference(base, marker, lo, length):
+    view = derived_sequence(base, marker, (-200, 200)).oracle
+    word = view.window(lo, lo + length)
+    assert list(word) == reference_window(view, lo, lo + length)
+    assert view.at(lo) == word[0]
+
+
+def test_block_start_closed_form_matches_walk():
+    phi = Substitution({0: (0, 1, 0), 1: (1,)}, BINARY, BINARY)
+    for base in (MechanicalLower(GOLDEN, Fraction(1, 3)), shift(MechanicalUpper(GOLDEN_COMPL), -7),
+                 shift(MechanicalLower(Fraction(5, 13)), 4)):
+        image = SubstImage(base, phi, 3)
+        symbols = reference_window(base, -300, 299)
+        walk = {0: 3}
+        for i in range(300):
+            walk[i + 1] = walk[i] + phi.image_len(symbols[300 + i])
+            walk[-i - 1] = walk[-i] - phi.image_len(symbols[299 - i])
+        assert all(image.block_start(i) == s for i, s in walk.items())
+        # far out, consecutive starts still differ by the image length of the base symbol
+        for i in (10 ** 50, -10 ** 50 + 3):
+            blocks = [image.block_start(i + t) for t in range(6)]
+            base_word = base.window(i, i + 4)
+            assert [b - a for a, b in zip(blocks, blocks[1:])] == [phi.image_len(s) for s in base_word]
+            assert image.window(blocks[0], blocks[-1] - 1) == phi(base_word)
+            assert image.at(blocks[2]) == phi.images[base_word[2]][0]

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sturmkit import slopes
 from sturmkit.slopes import (
     QuadraticIrrational,
     ceil_mul_add,
     continued_fraction,
     floor_mul_add,
+    floor_ratio,
+    floor_steps,
     format_slope,
     is_rational,
     parse_slope,
@@ -140,3 +143,53 @@ def test_parse_rejects():
         parse_slope("7/5")  # outside [0, 1]
     with pytest.raises(ValueError):
         parse_slope("sqrt(2)")
+
+
+QUADRATIC_SLOPES = [GOLDEN, SQRT2_HALF, GOLDEN_COMPL, QuadraticIrrational(-2, 1, 1, 7),
+                    QuadraticIrrational(1, 1, 4, 3)]
+
+
+@given(st.sampled_from(QUADRATIC_SLOPES), st.integers(-10 ** 30, 10 ** 30))
+def test_floor_mul_add_far_matches_pinned(alpha, n):
+    assert floor_mul_add(alpha, n) == pinned_floor(alpha.a, alpha.b, alpha.c, alpha.d, n)
+
+
+def pinned_ratio(m, u, v, alpha, digits=40):
+    """floor(m / (u + v*alpha)) from isqrt brackets of sqrt(d), refined until
+    both ends agree."""
+    while True:
+        scale = 10 ** digits
+        root_lo = Fraction(math.isqrt(alpha.d * scale * scale), scale)
+        ends = [m / (u + v * (alpha.a + alpha.b * r) / alpha.c)
+                for r in (root_lo, root_lo + Fraction(1, scale))]
+        if math.floor(ends[0]) == math.floor(ends[1]):
+            return math.floor(ends[0])
+        digits *= 2
+
+
+@given(st.sampled_from(QUADRATIC_SLOPES + [Fraction(5, 13), Fraction(0), Fraction(1)]),
+       st.integers(-10 ** 40, 10 ** 40), st.integers(1, 4), st.integers(1, 4))
+def test_floor_ratio(alpha, m, l0, l1):
+    # u + v*alpha is the mean block length l0 + (l1 - l0)*alpha > 0
+    got = floor_ratio(m, l0, l1 - l0, alpha)
+    if isinstance(alpha, Fraction):
+        assert got == math.floor(Fraction(m) / (l0 + (l1 - l0) * alpha))
+    else:
+        assert got == pinned_ratio(m, l0, l1 - l0, alpha)
+
+
+def test_floor_steps_reanchors_near_carries(monkeypatch):
+    """With few fixed-point bits the running value often sits within its
+    error bound of a carry; re-anchoring on an exact floor keeps every step
+    exact."""
+    monkeypatch.setattr(slopes, "_FIXED_BITS", 10)
+    slopes._fixed_point.cache_clear()
+    try:
+        for alpha in QUADRATIC_SLOPES:
+            for rho in (Fraction(0), Fraction(-7, 3)):
+                for lo in (-500, 10 ** 20):
+                    reference = [floor_mul_add(alpha, n + 1, rho) - floor_mul_add(alpha, n, rho)
+                                 for n in range(lo, lo + 301)]
+                    assert list(floor_steps(alpha, lo, lo + 300, rho)) == reference
+    finally:
+        slopes._fixed_point.cache_clear()
