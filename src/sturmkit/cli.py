@@ -2,7 +2,7 @@
 
 Commands: generate, check-indist, classify, complexity, christoffel,
 limit-pair, derive.  Output is deterministic UTF-8 text or JSON (stable
-field names, schema_version 1); errors go to stderr.
+field names, schema_version 2); errors go to stderr.
 
 Exit codes: 0 pass/classified, 1 fail/not-of-form (witness on stdout) or
 not asymptotic, 2 inconclusive (including an uncertifiable pair), 3 argument
@@ -54,10 +54,10 @@ from .sequences import (
     shift,
     substitute,
 )
-from .slopes import parse_slope
+from .slopes import format_slope, parse_slope
 from .words import Word
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -350,7 +350,9 @@ def _classification_doc(outcome, alphabet: Alphabet) -> tuple[dict, str, int]:
         verified_to=outcome.verified_to,
         verify_window=list(outcome.verify_window),
     )
-    if isinstance(outcome.base, derive_mod.SturmianBase):
+    if isinstance(outcome.base, derive_mod.MechanicalBase):
+        doc["base"] = {"kind": "mechanical", "slope": format_slope(outcome.base.slope)}
+    elif isinstance(outcome.base, derive_mod.SturmianBase):
         doc["base"] = {
             "kind": "sturmian",
             "slope_low": str(outcome.base.slope_low),

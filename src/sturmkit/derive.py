@@ -1,17 +1,21 @@
 """Return words, derived sequences, and the constructive classification of
 indistinguishable asymptotic pairs.
 
-Recurrent pairs are peeled by derived sequences until the difference set
-fits in a two-position interval, at which point the pair is (up to a
-one-letter relabeling) a pair of characteristic mechanical words of some
-irrational slope.  Non-recurrent pairs are shifts of one another and reduce
-to the pair (^inf0.10^inf, ^inf0.010^inf) through a two-letter substitution
-built from the length-s eventual periods, s the shift between the members.
+The normal forms of a recurrent pair in the closed oracle algebra show its
+decomposition: the members are images psi(lower(alpha)) and
+psi(upper(alpha)) of one irrational slope, and their anchors give the
+shift.  The rebuilt pair is proved equal to the input on all of Z, and the
+base has the exact slope.
 
-Shift bookkeeping across the composed substitutions is resolved
-numerically: the difference set of the rebuilt pair must land on the
-difference set of the input, which pins the final shift, and the result is
-then verified pointwise on the requested window.
+Recurrent pairs of opaque oracles (derived views, Toeplitz limits) are
+peeled by derived sequences until the difference set fits in a two-position
+interval, where the pair is (up to a one-letter relabeling) a pair of
+characteristic Sturmian words; the difference set of the rebuilt pair pins
+the shift, the result is verified pointwise on the requested window, and
+the slope is an interval from symbol frequencies.  Non-recurrent pairs are
+shifts of one another and reduce to the pair (^inf0.10^inf, ^inf0.010^inf)
+through a two-letter substitution built from the length-s eventual
+periods, s the shift between the members.
 """
 
 from __future__ import annotations
@@ -32,15 +36,20 @@ from .patterns import (
 from .sequences import (
     BINARY,
     EventuallyPeriodic,
+    MechanicalLower,
+    MechanicalUpper,
     SequenceOracle,
     Substitution,
     alphabet_of_size,
     is_recurrent,
+    mechanical_image,
     oracles_equal,
+    over_lower,
     shift,
     substitute,
     window_difference,
 )
+from .slopes import QuadraticIrrational
 from .words import Word, occurrences
 
 log = logging.getLogger("sturmkit.derive")
@@ -289,8 +298,24 @@ class Inconclusive:
 
 
 @dataclass(frozen=True)
+class MechanicalBase:
+    """The characteristic pair (lower(slope), upper(slope)) of an exact irrational slope."""
+
+    slope: QuadraticIrrational
+
+    @property
+    def lower_oracle(self) -> SequenceOracle:
+        return MechanicalLower(self.slope)
+
+    @property
+    def upper_oracle(self) -> SequenceOracle:
+        return MechanicalUpper(self.slope)
+
+
+@dataclass(frozen=True)
 class SturmianBase:
-    """Binary base pair plus a slope interval estimated from symbol frequency."""
+    """Binary base pair of an opaque input plus a slope interval estimated
+    from symbol frequency."""
 
     window_word: Word
     window: tuple[int, int]
@@ -313,7 +338,7 @@ class ClassificationResult:
     phi: Substitution
     m: int
     x_is_first: bool  # pair.x matches sigma^m phi(sigma c) resp. sigma^m phi(^inf0.10^inf)
-    base: Union[SturmianBase, NonRecurrentBase]
+    base: Union[MechanicalBase, SturmianBase, NonRecurrentBase]
     verified_to: int
     verify_window: tuple[int, int]
 
@@ -328,9 +353,13 @@ def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
     """Decompose a non-trivial pair per the classification dichotomy.
 
     Either produces a substitution phi, shift m and base pair that rebuild
-    (x, y) exactly (verified pointwise on the window), or a
-    distinguishability witness, or an explicit inconclusive outcome naming
-    the exhausted resource.
+    (x, y), or a distinguishability witness (words up to max_len are
+    checked first), or an explicit inconclusive outcome naming the exhausted
+    resource.  A recurrent pair whose normal forms are images of the
+    characteristic mechanical pair gets a :class:`MechanicalBase` with the
+    exact slope, and the rebuild is certified equal to the input on all of
+    Z; any other recurrent pair gets a :class:`SturmianBase` from derived
+    sequences, verified pointwise on the window.
     """
     if pair.is_trivial:
         raise ValueError("classification requires a non-trivial pair")
@@ -341,8 +370,46 @@ def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
     if recurrent is None:
         return Inconclusive("recurrence undecidable for this oracle class")
     if recurrent:
-        return _classify_recurrent(pair, window, max_len)
+        return (_classify_structural(pair, window, max_len)
+                or _classify_recurrent(pair, window, max_len))
     return _classify_non_recurrent(pair, window, max_len)
+
+
+def _classify_structural(pair: AsymptoticPair, window: tuple[int, int],
+                         max_len: int) -> Optional[ClassificationResult]:
+    """Read (psi, alpha, m) off the normal forms, or None when they do not
+    show psi(lower(alpha)) and psi(upper(alpha)) with equal images.
+
+    The member over the lower word, anchored at A, is sigma^m psi(sigma
+    lower(alpha)) with m = -|psi(0)| - A, because lower(alpha)_0 = 0.  The
+    rebuild is checked by exact equality in the input's orientation; when x
+    sits over upper(alpha) the result is rewritten as psi o swap over
+    lower(1 - alpha), so that x always comes first.
+    """
+    ix, iy = mechanical_image(pair.x), mechanical_image(pair.y)
+    if ix is None or iy is None or ix.phi.image_key() != iy.phi.image_key():
+        return None
+    bx, by = ix.base, iy.base
+    if bx.alpha != by.alpha or bx.rho or by.rho or {bx.kind, by.kind} != {"lower", "upper"}:
+        return None
+    psi, alpha = ix.phi, bx.alpha
+    lower_first = bx.kind == "lower"
+    m = -psi.image_len(0) - (ix if lower_first else iy).anchor
+    rebuilt = [shift(substitute(psi, shift(cls(alpha), 1)), m)
+               for cls in (MechanicalLower, MechanicalUpper)]
+    first, second = (pair.x, pair.y) if lower_first else (pair.y, pair.x)
+    if not (oracles_equal(first, rebuilt[0]) and oracles_equal(second, rebuilt[1])):
+        raise RuntimeError(f"normal forms of {pair.x!r} and {pair.y!r} do not rebuild the pair")
+    top = over_lower(ix)
+    return ClassificationResult(
+        case="recurrent",
+        phi=top.phi,
+        m=m,
+        x_is_first=True,
+        base=MechanicalBase(top.base.alpha),
+        verified_to=max_len,
+        verify_window=window,
+    )
 
 
 def _verify_alignment(pair: AsymptoticPair, rx: SequenceOracle, ry: SequenceOracle,

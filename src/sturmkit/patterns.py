@@ -158,19 +158,25 @@ def reverse_pair(pair: AsymptoticPair) -> AsymptoticPair:
 def substitute_pair(phi: Substitution, pair: AsymptoticPair) -> AsymptoticPair:
     """(phi(x), phi(y)) with an exact difference set.
 
-    Outside the image of the difference blocks the two images are the same
-    string at the same positions, provided the block boundaries align; the
-    boundary sums agree exactly when each symbol occurs equally often in x
-    and y across the difference interval.  On misalignment the images are
-    tail-shifted copies and the structural certifier decides the rest.
+    phi(x) is anchored at 0: the block of x_0 starts at position 0.  phi(y)
+    is anchored so that its block of position min F starts where that of
+    phi(x) does, which for F inside [0, inf) is anchor 0 as well.  Left of
+    those blocks the two images are then the same string at the same
+    positions, and so are they right of the blocks of max F when the two
+    block ends meet, which happens exactly when each symbol's image length
+    sums to the same over the difference interval in x and in y.  Otherwise
+    the images are tail-shifted copies and the structural certifier decides
+    the rest.
     """
     ix, iy = substitute(phi, pair.x), substitute(phi, pair.y)
     if pair.is_trivial:
         return AsymptoticPair(ix, iy, frozenset())
     lo, hi = pair.span()
     lx, rx = ix.block_start(lo), ix.block_start(hi + 1)
-    ly, ry = iy.block_start(lo), iy.block_start(hi + 1)
-    if lx != ly or rx != ry:
+    k = iy.block_start(lo) - lx
+    ry = iy.block_start(hi + 1) - k
+    iy = shift(iy, k)
+    if rx != ry:
         return AsymptoticPair(ix, iy, difference_set(ix, iy))
     return AsymptoticPair(ix, iy, window_difference(ix, iy, lx, rx - 1))
 

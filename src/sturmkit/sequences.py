@@ -423,7 +423,14 @@ def reverse(x: SequenceOracle) -> SequenceOracle:
 
 
 def substitute(phi: Substitution, x: SequenceOracle) -> SubstImage:
-    """Image oracle with anchor 0: the image of x_0 starts at position 0."""
+    """Image oracle with anchor 0: the image of x_0 starts at position 0.
+
+    The image of an anchor-0 image over a (possibly shifted) mechanical word
+    is built as one image under the composed substitution, the same sequence,
+    so its block starts keep their closed form.
+    """
+    if isinstance(x, SubstImage) and x.anchor == 0 and x._mech is not None:
+        return SubstImage(x.base, phi.compose(x.phi), 0)
     return SubstImage(x, phi, 0)
 
 
@@ -480,7 +487,11 @@ class NFMech:
 
 @dataclass
 class NFSubst:
-    """Substitution image of an irrational mechanical word or an opaque oracle."""
+    """Substitution image of an irrational mechanical word or an opaque oracle.
+
+    A mechanical base sits at offset 0, so the anchor is where the block of
+    the mechanical word's symbol 0 begins.
+    """
 
     phi: Substitution
     base: Union[NFMech, "NFOpaque"]
@@ -554,13 +565,15 @@ def normal_form(x: SequenceOracle) -> NormalForm:
         if isinstance(nf, NFEvp):
             return NFEvp(x, nf.pw, -nf.rb - nf.pw + 1, nf.pu, -nf.lb - nf.pu + 1)
         if isinstance(nf, NFMech):
-            # s(alpha,rho)(m) = s'(alpha,-rho)(-m-1) and symmetrically
-            other = "upper" if nf.kind == "lower" else "lower"
-            return _make_nfmech(other, nf.alpha, -nf.rho, -nf.offset - 1)
+            return _reverse_mech(nf)
         if isinstance(nf, NFSubst):
-            base_rev = _reverse_nf_base(nf.base)
-            l0 = nf.start(1) - nf.start(0)
-            return NFSubst(nf.phi.reversed_images(), base_rev, -nf.anchor - l0 + 1, x)
+            # block i of the image, [start(i), start(i+1)), lands on
+            # [-start(i+1) + 1, -start(i)]; base symbol i moves to -i
+            anchor = -nf.start(1) + 1
+            rev_phi = nf.phi.reversed_images()
+            if isinstance(nf.base, NFMech):
+                return _subst_over_mech(rev_phi, _reverse_mech(nf.base), anchor, x)
+            return NFSubst(rev_phi, NFOpaque(Reversal(nf.base.oracle)), anchor, x)
         return NFOpaque(x)
 
     if isinstance(x, SubstImage):
@@ -580,10 +593,7 @@ def normal_form(x: SequenceOracle) -> NormalForm:
             composed = phi.compose(nf.phi)
             return _collapse_or_keep(NFSubst(composed, nf.base, anchor - adj, x), x)
         if isinstance(nf, NFMech):
-            # absorb the mechanical offset into the anchor
-            mech0 = NFMech(nf.kind, nf.alpha, nf.rho, 0)
-            adj = SubstImage(mech0.as_oracle(), phi).block_start(nf.offset)
-            return _collapse_or_keep(NFSubst(phi, mech0, anchor - adj, x), x)
+            return _subst_over_mech(phi, nf, anchor, x)
         # opaque base
         return _collapse_or_keep(NFSubst(phi, NFOpaque(x.base), anchor, x), x)
 
@@ -594,11 +604,49 @@ def _nf_base_oracle(base: Union[NFMech, "NFOpaque"]) -> SequenceOracle:
     return base.as_oracle() if isinstance(base, NFMech) else base.oracle
 
 
-def _reverse_nf_base(base: Union[NFMech, NFOpaque]) -> Union[NFMech, NFOpaque]:
-    if isinstance(base, NFMech):
-        other = "upper" if base.kind == "lower" else "lower"
-        return _make_nfmech(other, base.alpha, -base.rho, -base.offset - 1)
-    return NFOpaque(Reversal(base.oracle))
+def _reverse_mech(base: NFMech) -> NFMech:
+    # s(alpha,rho)(m) = s'(alpha,-rho)(-m-1) and symmetrically
+    other = "upper" if base.kind == "lower" else "lower"
+    return _make_nfmech(other, base.alpha, -base.rho, -base.offset - 1)
+
+
+def _subst_over_mech(phi: Substitution, mech: NFMech, anchor: int,
+                     x: SequenceOracle) -> NormalForm:
+    """Normal form of the image of ``mech`` with block 0 at ``anchor``: the
+    mechanical offset is absorbed into the anchor, so the base sits at offset 0."""
+    mech0 = NFMech(mech.kind, mech.alpha, mech.rho, 0)
+    adj = SubstImage(mech0.as_oracle(), phi).block_start(mech.offset)
+    return _collapse_or_keep(NFSubst(phi, mech0, anchor - adj, x), x)
+
+
+_SWAP = Substitution({0: (1,), 1: (0,)}, BINARY, BINARY)
+
+
+def over_lower(nf: NFSubst) -> NFSubst:
+    """The same image over a lower-kind base when nf sits over an upper
+    mechanical word: upper(alpha)_n = 1 - lower(1 - alpha)_n exactly, so
+    phi(upper(alpha)) = (phi o swap)(lower(1 - alpha)) with the same anchor."""
+    base = nf.base
+    if not (isinstance(base, NFMech) and base.kind == "upper"):
+        return nf
+    lower = NFMech("lower", _one_minus(base.alpha), base.rho, base.offset)
+    return NFSubst(nf.phi.compose(_SWAP), lower, nf.anchor, nf.oracle)
+
+
+def mechanical_image(x: SequenceOracle) -> Optional[NFSubst]:
+    """x as an image of an irrational mechanical word at offset 0, or None.
+
+    A mechanical normal form is read as its image under 0 -> 0, 1 -> 1 into
+    x's alphabet, with anchor -offset; any other normal form but an image of
+    a mechanical word gives None.
+    """
+    nf = normal_form(x)
+    if isinstance(nf, NFMech):
+        base = NFMech(nf.kind, nf.alpha, nf.rho, 0)
+        return NFSubst(Substitution({0: (0,), 1: (1,)}, BINARY, x.alphabet), base, -nf.offset, x)
+    if isinstance(nf, NFSubst) and isinstance(nf.base, NFMech):
+        return nf
+    return None
 
 
 def _collapse_or_keep(nf: NFSubst, x: SequenceOracle) -> NormalForm:
@@ -669,7 +717,10 @@ def _mech_difference(nx: NFMech, ny: NFMech) -> frozenset[int]:
 
 def _subst_difference(nx: NFSubst, ny: NFSubst) -> frozenset[int]:
     if nx.phi.image_key() != ny.phi.image_key():
-        raise UncertifiableError("substitution images under different substitutions")
+        lx, ly = over_lower(nx), over_lower(ny)
+        if (lx is nx and ly is ny) or lx.phi.image_key() != ly.phi.image_key():
+            raise UncertifiableError("substitution images under different substitutions")
+        return _subst_difference(lx, ly)
     base_diff = _nf_difference(nx.base, ny.base)
     if not base_diff:
         if nx.anchor == ny.anchor:

@@ -73,7 +73,7 @@ class QuadraticIrrational:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
 
     def __str__(self) -> str:
-        return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
+        return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"
 
     def compare_fraction(self, r: Fraction) -> int:
         """Sign of self - r, decided in integer arithmetic."""

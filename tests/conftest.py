@@ -24,6 +24,11 @@ def remark_pair():
     return sk.certify_asymptotic(x, y, radius=4)
 
 
+def one_minus(alpha):
+    """1 - alpha for a quadratic irrational alpha = (a + b*sqrt(d))/c."""
+    return sk.QuadraticIrrational(alpha.c - alpha.a, -alpha.b, alpha.c, alpha.d)
+
+
 def to_word(text):
     return BINARY.word_from_str(text)
 

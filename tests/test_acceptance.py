@@ -53,7 +53,7 @@ from sturmkit.sequences import (
     substitute,
 )
 
-from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, to_str, to_word
+from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, one_minus, to_str, to_word
 
 SLOPES = {
     "(sqrt5-1)/2": GOLDEN,
@@ -249,7 +249,8 @@ def test_criterion_10_theorem_c_round_trip():
         m0 = rng.randint(-6, 6)
         x = shift(substitute(phi, shift(MechanicalLower(alpha), 1)), m0)
         y = shift(substitute(phi, shift(MechanicalUpper(alpha), 1)), m0)
-        if rng.random() < 0.5:
+        swapped = rng.random() < 0.5
+        if swapped:
             x, y = y, x
         pair = certify_asymptotic(x, y, 80)
         out = classify(pair, window=window, max_len=10)
@@ -259,14 +260,10 @@ def test_criterion_10_theorem_c_round_trip():
         first, second = (pair.x, pair.y) if out.x_is_first else (pair.y, pair.x)
         assert first.window(*window) == rx.window(*window)
         assert second.window(*window) == ry.window(*window)
-        # the base is a certified {-1,0} exchange and its slope interval is
-        # consistent under window refinement (the decomposition slope itself
-        # is not unique across decompositions; see the decisions ledger)
-        interval = out.base.slope_high - out.base.slope_low
-        assert interval == Fraction(2, len(out.base.window_word))
-        refined = out.base.lower_oracle.window(-128, 127)
-        f = Fraction(sum(refined), 256)
-        assert out.base.slope_low - Fraction(1, 256) <= f <= out.base.slope_high + Fraction(1, 256)
+        # the base is the construction's own mechanical pair, read exactly off
+        # the normal forms; with the members swapped x sits over upper(alpha),
+        # which is the complement of lower(1 - alpha)
+        assert out.base.slope == (one_minus(alpha) if swapped else alpha)
 
     for trial in range(8):  # recurrent constructions with letter relabels:
         # no derivation happens, so the construction slope itself is recovered
@@ -284,10 +281,9 @@ def test_criterion_10_theorem_c_round_trip():
         first, second = (pair.x, pair.y) if out.x_is_first else (pair.y, pair.x)
         assert first.window(*window) == rx.window(*window)
         assert second.window(*window) == ry.window(*window)
-        # the relabel at the base normalizes the 10/01 orientation, so even a
-        # complementing construction recovers the original slope
-        assert alpha.compare_fraction(out.base.slope_low) >= 0
-        assert alpha.compare_fraction(out.base.slope_high) <= 0
+        # x sits over the lower word, so even a complementing construction
+        # recovers the original slope
+        assert out.base.slope == alpha
 
     base_x = EventuallyPeriodic.from_strings("0", "", "10", "0")
     base_y = EventuallyPeriodic.from_strings("0", "", "010", "0")

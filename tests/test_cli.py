@@ -3,7 +3,11 @@ import json
 import pytest
 from jsonschema import validate
 
-from sturmkit.cli import main, parse_oracle
+from sturmkit import derive
+from sturmkit.cli import _classification_doc, main, parse_oracle
+from sturmkit.derive import derived_pair
+from sturmkit.patterns import certify_asymptotic, shift_pair
+from sturmkit.slopes import QuadraticIrrational, parse_slope
 
 GOLDEN_EXPR = "lower((-1+1*sqrt(5))/2)"
 GOLDEN_UPPER_EXPR = "upper((-1+1*sqrt(5))/2)"
@@ -12,7 +16,7 @@ BASE_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "command"],
     "properties": {
-        "schema_version": {"const": 1},
+        "schema_version": {"const": 2},
         "command": {"type": "string"},
     },
 }
@@ -53,7 +57,38 @@ SCHEMAS = {
             "m": {"type": "integer"},
             "witness": {"type": "string"},
             "resource": {"type": "string"},
-            "base": {"type": "object"},
+            "base": {"oneOf": [
+                {
+                    "type": "object",
+                    "required": ["kind", "slope"],
+                    "additionalProperties": False,
+                    "properties": {"kind": {"const": "mechanical"}, "slope": {"type": "string"}},
+                },
+                {
+                    "type": "object",
+                    "required": ["kind", "slope_low", "slope_high", "window", "window_word"],
+                    "additionalProperties": False,
+                    "properties": {
+                        "kind": {"const": "sturmian"},
+                        "slope_low": {"type": "string"},
+                        "slope_high": {"type": "string"},
+                        "window": {"type": "array", "items": {"type": "integer"}},
+                        "window_word": {"type": "string"},
+                    },
+                },
+                {
+                    "type": "object",
+                    "required": ["kind"],
+                    "additionalProperties": False,
+                    "properties": {
+                        "kind": {"const": "non_recurrent"},
+                        "rational_class": {
+                            "type": "object",
+                            "required": ["p", "q", "side"],
+                        },
+                    },
+                },
+            ]},
         },
     },
     "complexity": {
@@ -193,6 +228,30 @@ def test_classify_sturmian(capsys):
         "--max-len", "12", "--json",
     )
     assert code == 0 and doc["case"] == "recurrent"
+    assert doc["base"] == {"kind": "mechanical", "slope": "(-1+1*sqrt(5))/2"}
+    assert doc["m"] == -1 and doc["x_is_first"]
+    # x over the upper word: the base is lower(1 - golden), printed parseably
+    code, doc = run_json(
+        capsys, "classify", "--x", GOLDEN_UPPER_EXPR, "--y", GOLDEN_EXPR,
+        "--max-len", "12", "--json",
+    )
+    assert code == 0 and doc["base"] == {"kind": "mechanical", "slope": "(3-1*sqrt(5))/2"}
+    assert doc["substitution"] == {"0": "1", "1": "0"} and doc["x_is_first"]
+    assert parse_slope(doc["base"]["slope"]) == QuadraticIrrational(3, -1, 2, 5)
+
+
+def test_classify_window_base_schema():
+    # opaque inputs keep the window-estimated base; the CLI cannot spell a
+    # derived view, so the document is built from a classification directly
+    pair = derived_pair(
+        shift_pair(certify_asymptotic(parse_oracle(GOLDEN_EXPR), parse_oracle(GOLDEN_UPPER_EXPR), 4), -1),
+        0, (-120, 120),
+    )
+    outcome = derive.classify(pair, window=(-30, 30), max_len=8)
+    assert isinstance(outcome.base, derive.SturmianBase)
+    doc, _, code = _classification_doc(outcome, pair.alphabet)
+    validate(doc, SCHEMAS["classify"])
+    assert code == 0 and doc["base"]["kind"] == "sturmian"
 
 
 def test_complexity(capsys):

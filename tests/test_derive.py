@@ -2,11 +2,15 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sturmkit as sk
 from sturmkit.derive import (
     ClassificationResult,
+    MechanicalBase,
     NotIndistinguishable,
+    SturmianBase,
+    _classify_recurrent,
     classify,
     derived_pair,
     derived_sequence,
@@ -27,12 +31,14 @@ from sturmkit.sequences import (
     MechanicalLower,
     MechanicalUpper,
     Substitution,
+    alphabet_of_size,
     is_recurrent,
+    oracles_equal,
     shift,
     substitute,
 )
 
-from conftest import GOLDEN, GOLDEN_COMPL, to_str, to_word
+from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, to_str, to_word
 
 
 def test_return_words_periodic():
@@ -184,7 +190,7 @@ def test_classify_golden_construction():
     first, second = (pair.x, pair.y) if out.x_is_first else (pair.y, pair.x)
     assert first.window(-40, 40) == rx.window(-40, 40)
     assert second.window(-40, 40) == ry.window(-40, 40)
-    assert out.base.slope_low < out.base.slope_high
+    assert out.base.slope == GOLDEN
 
 
 def test_classify_degenerate_non_recurrent():
@@ -232,3 +238,67 @@ def test_classify_requires_non_trivial(golden_pair):
     trivial = certify_asymptotic(golden_pair.x, golden_pair.x, 2)
     with pytest.raises(ValueError):
         classify(trivial)
+
+
+def _rebuild(out):
+    """sigma^m phi(sigma lower), sigma^m phi(sigma upper) of a classification."""
+    return tuple(shift(substitute(out.phi, shift(b, 1)), out.m)
+                 for b in (out.base.lower_oracle, out.base.upper_oracle))
+
+
+def _images(size, max_len):
+    return st.lists(st.integers(0, size - 1), min_size=1, max_size=max_len).map(tuple)
+
+
+@st.composite
+def recurrent_constructions(draw):
+    """sigma^m0 psi(sigma lower(alpha), sigma upper(alpha)) for a non-commuting
+    psi (a relabel, or random onto 2-4 letters), possibly under a second
+    image and with the members possibly swapped; also says if psi relabels."""
+    relabel = draw(st.booleans())
+    if relabel:
+        images = draw(st.sampled_from([((0,), (1,)), ((1,), (0,))]))
+        size = 2
+    else:
+        size = draw(st.integers(2, 4))
+        images = (draw(_images(size, 4)), draw(_images(size, 4)))
+    psi = Substitution(dict(enumerate(images)), BINARY, alphabet_of_size(size))
+    alpha = draw(st.sampled_from([GOLDEN, SQRT2_HALF, GOLDEN_COMPL]))
+    x, y = (substitute(psi, shift(cls(alpha), 1)) for cls in (MechanicalLower, MechanicalUpper))
+    if not relabel and draw(st.booleans()):
+        outer_size = draw(st.integers(2, 3))
+        outer = Substitution({s: draw(_images(outer_size, 2)) for s in range(size)},
+                             psi.codomain, alphabet_of_size(outer_size))
+        x, y = substitute(outer, x), substitute(outer, y)
+        psi = outer.compose(psi)
+    assume(psi.images[0] + psi.images[1] != psi.images[1] + psi.images[0])
+    m0 = draw(st.integers(-6, 6))
+    x, y = shift(x, m0), shift(y, m0)
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y, relabel
+
+
+@settings(max_examples=30, deadline=None)
+@given(recurrent_constructions())
+def test_structural_classification_matches_derived_views(construction):
+    """The normal-form decomposition rebuilds the pair exactly on all of Z; the
+    derived-view path, kept for opaque inputs, rebuilds it on the window."""
+    x, y, relabel = construction
+    window = (-40, 40)
+    pair = certify_asymptotic(x, y, 200)
+    out = classify(pair, window=window, max_len=8)
+    assert isinstance(out, ClassificationResult) and out.case == "recurrent"
+    assert isinstance(out.base, MechanicalBase) and out.x_is_first
+    rx, ry = _rebuild(out)
+    assert oracles_equal(pair.x, rx) and oracles_equal(pair.y, ry)
+
+    slow = _classify_recurrent(pair, window, 8)
+    assert isinstance(slow, ClassificationResult) and isinstance(slow.base, SturmianBase)
+    assert slow.x_is_first
+    sx, sy = _rebuild(slow)
+    assert sx.window(*window) == pair.x.window(*window)
+    assert sy.window(*window) == pair.y.window(*window)
+    if relabel:  # no derivation happens, so both paths find the same decomposition
+        assert slow.phi.images == out.phi.images and slow.m == out.m
+        assert slow.base.window_word == out.base.lower_oracle.window(*slow.base.window)

@@ -27,6 +27,7 @@ from sturmkit.sequences import (
     Substitution,
     alphabet_of_size,
     shift,
+    substitute,
 )
 
 from conftest import GOLDEN, SQRT2_HALF, to_str, to_word
@@ -266,6 +267,22 @@ def test_substitute_pair_exact(golden_pair):
     image = substitute_pair(phi, moved)
     brute = {n for n in range(-40, 41) if image.x.at(n) != image.y.at(n)}
     assert set(image.diff) == brute
+
+
+def test_substitute_pair_anchors_at_block_of_min_difference(golden_pair):
+    # F = {-1, 0} straddles 0: x's image keeps anchor 0, and y's image is
+    # anchored so that the blocks of position -1 start together
+    fib = Substitution({0: (0, 1), 1: (0,)}, BINARY, BINARY)
+    image = substitute_pair(fib, golden_pair)
+    assert image.diff == frozenset({0, 1})
+    assert image.x.window(-40, 40) == substitute(fib, golden_pair.x).window(-40, 40)
+    brute = {n for n in range(-60, 61) if image.x.at(n) != image.y.at(n)}
+    assert set(image.diff) == brute
+    assert check_indistinguishable(image, 20).passed
+    # the same pair as the image of the pair shifted to F = {0, 1}, moved back by one
+    moved = substitute_pair(fib, shift_pair(golden_pair, -1))
+    assert moved.diff == frozenset({1, 2})
+    assert shift_pair(moved, 1).y.window(-40, 40) == image.y.window(-40, 40)
 
 
 def test_symbol_counts_match_when_indistinguishable(golden_pair):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sturmkit import slopes
 from sturmkit.slopes import (
@@ -133,9 +133,29 @@ def test_floor_monotone_steps(alpha):
     ("1", "1/1"),
     ("(-1+1*sqrt(5))/2", "(-1+1*sqrt(5))/2"),
     ("( 0 + 1*sqrt(2) ) / 2", "(0+1*sqrt(2))/2"),
+    ("(3-1*sqrt(5))/2", "(3-1*sqrt(5))/2"),
 ])
 def test_parse_format(text, back):
     assert format_slope(parse_slope(text)) == back
+
+
+@st.composite
+def unit_slopes(draw):
+    """Rational or quadratic slopes in [0, 1], with either sign of b."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 200))
+        return Fraction(draw(st.integers(0, q)), q)
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 8, 12, 13]))
+    b = draw(st.integers(-9, 9).filter(bool))
+    c = draw(st.integers(1, 60))
+    alpha = QuadraticIrrational(draw(st.integers(-60, 60)), b, c, d)
+    assume(alpha.compare_fraction(Fraction(0)) >= 0 and alpha.compare_fraction(Fraction(1)) <= 0)
+    return alpha
+
+
+@given(unit_slopes())
+def test_format_parse_round_trip(alpha):
+    assert parse_slope(format_slope(alpha)) == alpha
 
 
 def test_parse_rejects():
