@@ -44,9 +44,9 @@ from .sequences import (
     is_recurrent,
     mechanical_image,
     oracles_equal,
-    over_lower,
     shift,
     substitute,
+    swap_base,
     window_difference,
 )
 from .slopes import QuadraticIrrational
@@ -400,13 +400,13 @@ def _classify_structural(pair: AsymptoticPair, window: tuple[int, int],
     first, second = (pair.x, pair.y) if lower_first else (pair.y, pair.x)
     if not (oracles_equal(first, rebuilt[0]) and oracles_equal(second, rebuilt[1])):
         raise RuntimeError(f"normal forms of {pair.x!r} and {pair.y!r} do not rebuild the pair")
-    top = over_lower(ix)
+    phi, base = (psi, bx) if lower_first else swap_base(psi, bx)
     return ClassificationResult(
         case="recurrent",
-        phi=top.phi,
+        phi=phi,
         m=m,
         x_is_first=True,
-        base=MechanicalBase(top.base.alpha),
+        base=MechanicalBase(base.alpha),
         verified_to=max_len,
         verify_window=window,
     )

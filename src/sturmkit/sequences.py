@@ -32,7 +32,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional, Union
 
@@ -423,14 +423,7 @@ def reverse(x: SequenceOracle) -> SequenceOracle:
 
 
 def substitute(phi: Substitution, x: SequenceOracle) -> SubstImage:
-    """Image oracle with anchor 0: the image of x_0 starts at position 0.
-
-    The image of an anchor-0 image over a (possibly shifted) mechanical word
-    is built as one image under the composed substitution, the same sequence,
-    so its block starts keep their closed form.
-    """
-    if isinstance(x, SubstImage) and x.anchor == 0 and x._mech is not None:
-        return SubstImage(x.base, phi.compose(x.phi), 0)
+    """Image oracle with anchor 0: the image of x_0 starts at position 0."""
     return SubstImage(x, phi, 0)
 
 
@@ -519,12 +512,14 @@ NormalForm = Union[NFEvp, NFMech, NFSubst, NFOpaque]
 
 
 def _make_nfmech(kind: str, alpha: QuadraticIrrational, rho: Fraction, offset: int) -> NFMech:
-    rho = rho - math.floor(rho)  # intercepts equal mod 1 give equal words
+    if rho:
+        rho = rho - math.floor(rho)  # intercepts equal mod 1 give equal words
     if rho != 0:
         kind = "lower"  # alpha*n + rho never integral, so lower == upper
     return NFMech(kind, alpha, rho, offset)
 
 
+@lru_cache(maxsize=64)  # normal forms flip the few slopes in use over and over
 def _one_minus(alpha: QuadraticIrrational) -> QuadraticIrrational:
     return QuadraticIrrational(alpha.c - alpha.a, -alpha.b, alpha.c, alpha.d)
 
@@ -616,21 +611,23 @@ def _subst_over_mech(phi: Substitution, mech: NFMech, anchor: int,
     mechanical offset is absorbed into the anchor, so the base sits at offset 0."""
     mech0 = NFMech(mech.kind, mech.alpha, mech.rho, 0)
     adj = SubstImage(mech0.as_oracle(), phi).block_start(mech.offset)
+    if mech0.alpha.compare_fraction(_HALF) > 0:
+        # one orientation per image: the base slope is below 1/2, so two
+        # images of one word compare base to base under equal image keys
+        phi, mech0 = swap_base(phi, mech0)
     return _collapse_or_keep(NFSubst(phi, mech0, anchor - adj, x), x)
 
 
-_SWAP = Substitution({0: (1,), 1: (0,)}, BINARY, BINARY)
+_HALF = Fraction(1, 2)
 
 
-def over_lower(nf: NFSubst) -> NFSubst:
-    """The same image over a lower-kind base when nf sits over an upper
-    mechanical word: upper(alpha)_n = 1 - lower(1 - alpha)_n exactly, so
-    phi(upper(alpha)) = (phi o swap)(lower(1 - alpha)) with the same anchor."""
-    base = nf.base
-    if not (isinstance(base, NFMech) and base.kind == "upper"):
-        return nf
-    lower = NFMech("lower", _one_minus(base.alpha), base.rho, base.offset)
-    return NFSubst(nf.phi.compose(_SWAP), lower, nf.anchor, nf.oracle)
+def swap_base(phi: Substitution, mech: NFMech) -> tuple[Substitution, NFMech]:
+    """(phi o swap, the complementary word) with the same image: pointwise
+    1 - s(alpha, rho) = s'(1 - alpha, -rho), s' the other kind, so for
+    instance phi(upper(alpha)) = (phi o swap)(lower(1 - alpha))."""
+    other = "upper" if mech.kind == "lower" else "lower"
+    swapped = Substitution({0: phi.images[1], 1: phi.images[0]}, BINARY, phi.codomain)
+    return swapped, _make_nfmech(other, _one_minus(mech.alpha), -mech.rho, mech.offset)
 
 
 def mechanical_image(x: SequenceOracle) -> Optional[NFSubst]:
@@ -658,19 +655,14 @@ def _collapse_or_keep(nf: NFSubst, x: SequenceOracle) -> NormalForm:
         return NFEvp(x, len(root), nf.anchor, len(root), nf.anchor)
     if (
         isinstance(nf.base, NFMech)
-        and nf.phi.domain.size == 2
+        and nf.phi.codomain == nf.phi.domain  # a relabel within the binary alphabet
         and all(nf.phi.image_len(s) == 1 for s in nf.phi.images)
     ):
         im0, im1 = nf.phi.images[0][0], nf.phi.images[1][0]
         if {im0, im1} == {0, 1}:
-            mech = nf.base
-            if im0 == 0:  # identity relabel: plain shift of the base
-                return NFMech(mech.kind, mech.alpha, mech.rho, mech.offset - nf.anchor)
-            # swap relabel: 1 - s(alpha,rho) = s'(1-alpha,-rho) and dually
-            other = "upper" if mech.kind == "lower" else "lower"
-            return _make_nfmech(
-                other, _one_minus(mech.alpha), -mech.rho, mech.offset - nf.anchor
-            )
+            mech = nf.base if im0 == 0 else swap_base(nf.phi, nf.base)[1]
+            # an identity relabel of the base, possibly its complement: a shift
+            return NFMech(mech.kind, mech.alpha, mech.rho, mech.offset - nf.anchor)
     return nf
 
 
@@ -717,10 +709,7 @@ def _mech_difference(nx: NFMech, ny: NFMech) -> frozenset[int]:
 
 def _subst_difference(nx: NFSubst, ny: NFSubst) -> frozenset[int]:
     if nx.phi.image_key() != ny.phi.image_key():
-        lx, ly = over_lower(nx), over_lower(ny)
-        if (lx is nx and ly is ny) or lx.phi.image_key() != ly.phi.image_key():
-            raise UncertifiableError("substitution images under different substitutions")
-        return _subst_difference(lx, ly)
+        raise UncertifiableError("substitution images under different substitutions")
     base_diff = _nf_difference(nx.base, ny.base)
     if not base_diff:
         if nx.anchor == ny.anchor:

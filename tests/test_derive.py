@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -38,7 +39,7 @@ from sturmkit.sequences import (
     substitute,
 )
 
-from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, to_str, to_word
+from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, one_minus, to_str, to_word
 
 
 def test_return_words_periodic():
@@ -253,7 +254,8 @@ def _images(size, max_len):
 @st.composite
 def recurrent_constructions(draw):
     """sigma^m0 psi(sigma lower(alpha), sigma upper(alpha)) for a non-commuting
-    psi (a relabel, or random onto 2-4 letters), possibly under a second
+    psi (a relabel, or random onto 2-4 letters), the first member possibly
+    written as (psi o swap)(sigma upper(1 - alpha)), possibly under a second
     image and with the members possibly swapped; also says if psi relabels."""
     relabel = draw(st.booleans())
     if relabel:
@@ -265,6 +267,9 @@ def recurrent_constructions(draw):
     psi = Substitution(dict(enumerate(images)), BINARY, alphabet_of_size(size))
     alpha = draw(st.sampled_from([GOLDEN, SQRT2_HALF, GOLDEN_COMPL]))
     x, y = (substitute(psi, shift(cls(alpha), 1)) for cls in (MechanicalLower, MechanicalUpper))
+    if draw(st.booleans()):  # the same x written over the complementary word
+        swap = Substitution({0: (1,), 1: (0,)}, BINARY, BINARY)
+        x = substitute(psi.compose(swap), shift(MechanicalUpper(one_minus(alpha)), 1))
     if not relabel and draw(st.booleans()):
         outer_size = draw(st.integers(2, 3))
         outer = Substitution({s: draw(_images(outer_size, 2)) for s in range(size)},
@@ -299,6 +304,13 @@ def test_structural_classification_matches_derived_views(construction):
     sx, sy = _rebuild(slow)
     assert sx.window(*window) == pair.x.window(*window)
     assert sy.window(*window) == pair.y.window(*window)
+    # the window base's slope interval has width 2/|window word| and holds the
+    # frequency of 1s on a wider window of its own lower word
+    low, high = slow.base.slope_low, slow.base.slope_high
+    assert high - low == Fraction(2, len(slow.base.window_word))
+    f = Fraction(sum(slow.base.lower_oracle.window(-128, 127)), 256)
+    assert low - Fraction(1, 256) <= f <= high + Fraction(1, 256)
     if relabel:  # no derivation happens, so both paths find the same decomposition
         assert slow.phi.images == out.phi.images and slow.m == out.m
         assert slow.base.window_word == out.base.lower_oracle.window(*slow.base.window)
+        assert out.base.slope.compare_fraction(low) >= 0 >= out.base.slope.compare_fraction(high)

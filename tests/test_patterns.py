@@ -26,6 +26,7 @@ from sturmkit.sequences import (
     MechanicalUpper,
     Substitution,
     alphabet_of_size,
+    difference_set,
     shift,
     substitute,
 )
@@ -283,6 +284,26 @@ def test_substitute_pair_anchors_at_block_of_min_difference(golden_pair):
     moved = substitute_pair(fib, shift_pair(golden_pair, -1))
     assert moved.diff == frozenset({1, 2})
     assert shift_pair(moved, 1).y.window(-40, 40) == image.y.window(-40, 40)
+
+
+@pytest.mark.parametrize("chain", [1, 2])
+def test_substitute_pair_over_image_pairs(chain):
+    # members that are images themselves, under a psi whose two images share
+    # a suffix of length 2: the block starts of the outer images are counted
+    # over the members' own positions, so the difference set is exact
+    psi = Substitution({0: (1, 0, 0), 1: (0, 0)}, BINARY, BINARY)
+    x, y = (substitute(psi, shift(cls(GOLDEN), 1)) for cls in (MechanicalLower, MechanicalUpper))
+    pair = certify_asymptotic(x, y, 40)
+    assert pair.diff == frozenset({-5, -3})
+    ident = Substitution({0: (0,), 1: (1,)}, BINARY, BINARY)
+    fib = Substitution({0: (0, 1), 1: (0,)}, BINARY, BINARY)
+    for phi in (ident, fib, psi):
+        image = pair
+        for _ in range(chain):
+            image = substitute_pair(phi, image)
+        brute = {n for n in range(-120, 121) if image.x.at(n) != image.y.at(n)}
+        assert brute and set(image.diff) == brute
+        assert difference_set(image.x, image.y) == image.diff
 
 
 def test_symbol_counts_match_when_indistinguishable(golden_pair):

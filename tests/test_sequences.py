@@ -239,57 +239,43 @@ def test_reversed_image_equals_its_direct_construction():
     assert oracles_equal(x, y) and difference_set(y, x) == frozenset()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
        st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
        st.sampled_from([GOLDEN, SQRT2_HALF, GOLDEN_COMPL]),
+       st.booleans(), st.booleans(),
        st.integers(-5, 5), st.integers(-5, 5), st.integers(-2, 2), st.integers(-2, 2))
-def test_swap_rewrite_matches_windows(im0, im1, beta, k, s, dk, ds):
-    """psi(upper(beta)) is (psi o swap)(lower(1 - beta)): images over the two
-    words are compared exactly, and the answer agrees with a wide window."""
+def test_swap_rewrite_matches_windows(im0, im1, beta, x_upper, y_lower, k, s, dk, ds):
+    """psi(upper(beta)) is (psi o swap)(lower(1 - beta)) and psi(lower(beta))
+    is (psi o swap)(upper(1 - beta)): images over a word and over its
+    complement are compared exactly, in either orientation, and the answer
+    agrees with a wide window."""
     psi = Substitution({0: im0, 1: im1}, BINARY, alphabet_of_size(3))
-    x = shift(substitute(psi, shift(MechanicalUpper(beta), k)), s)
-    y = shift(substitute(psi.compose(SWAP), shift(MechanicalLower(one_minus(beta)), k + dk)), s + ds)
+    x_cls, y_cls = ((MechanicalUpper if x_upper else MechanicalLower),
+                    (MechanicalLower if y_lower else MechanicalUpper))
+    x = shift(substitute(psi, shift(x_cls(beta), k)), s)
+    y = shift(substitute(psi.compose(SWAP), shift(y_cls(one_minus(beta)), k + dk)), s + ds)
+    same = (dk, ds) == (0, 0) and x_upper == y_lower  # two constructions of one sequence
     try:
         diff = difference_set(x, y)
     except sk.NotAsymptoticError:
-        assert (dk, ds) != (0, 0)
+        assert not same
         assert sum(x.at(n) != y.at(n) for n in range(-250, 251)) >= 10
         return
     assert set(diff) == {n for n in range(-120, 121) if x.at(n) != y.at(n)}
-    if (dk, ds) == (0, 0):
+    if same:
         assert diff == frozenset()
 
 
-def test_nested_images_compose_at_construction():
-    fib = Substitution({0: (0, 1), 1: (0,)}, BINARY, BINARY)
-    c = MechanicalLower(GOLDEN)
-    composed = substitute(fib, substitute(fib, c))
-    assert isinstance(composed.base, Mechanical) and composed.phi.images == {0: (0, 1, 0), 1: (0, 1)}
-    # the same sequence as the image of the image, read by walking its blocks
-    nested = SubstImage(SubstImage(c, fib, 0), fib, 0)
-    for lo in (10 ** 6, -10 ** 6):
-        assert list(composed.window(lo, lo + 30)) == reference_window(nested, lo, lo + 30)
-    # over a shifted base too, and the difference sets of nested pairs keep
-    # their values (or their reason to differ infinitely often): the normal
-    # form composed such nests already
-    def outcome(a, b):
-        try:
-            return difference_set(a, b)
-        except sk.NotAsymptoticError as exc:
-            return str(exc)
-
-    three = alphabet_of_size(3)
-    psi = Substitution({0: (0, 2), 1: (1,)}, BINARY, three)
-    outer = Substitution({0: (1, 0), 1: (2,), 2: (0, 0)}, three, three)
-    for k in (-3, 0, 1, 4):
-        pair = [substitute(outer, substitute(psi, shift(cls(GOLDEN), k)))
-                for cls in (MechanicalLower, MechanicalUpper)]
-        walk = [SubstImage(SubstImage(shift(cls(GOLDEN), k), psi, 0), outer, 0)
-                for cls in (MechanicalLower, MechanicalUpper)]
-        assert not any(isinstance(z.base, SubstImage) for z in pair)
-        assert outcome(*pair) == outcome(*walk)
-        assert all(oracles_equal(a, b) for a, b in zip(pair, walk))
+def test_images_of_complementary_words_in_mixed_orientation():
+    # (psi o swap)(sigma upper(1 - golden)) is psi(sigma lower(golden)), so
+    # against psi(sigma upper(golden)) it is the non-trivial Sturmian image pair
+    psi = Substitution({0: (0, 1, 1), 1: (1, 0)}, BINARY, BINARY)
+    x = substitute(psi, shift(MechanicalUpper(GOLDEN), 1))
+    y = substitute(psi.compose(SWAP), shift(MechanicalUpper(GOLDEN_COMPL), 1))
+    assert y.window(-200, 200) == substitute(psi, shift(MechanicalLower(GOLDEN), 1)).window(-200, 200)
+    assert difference_set(x, y) == frozenset({-5, -4, -3, -1})
+    assert difference_set(x, y) == {n for n in range(-200, 201) if x.at(n) != y.at(n)}
 
 
 def test_oracles_equal_through_constructions():
