@@ -22,7 +22,7 @@ from .sequences import (
     SequenceOracle,
     is_recurrent,
     oracles_equal,
-    shift,
+    shift_relation,
 )
 from .words import Word, are_conjugate, is_palindrome
 
@@ -181,14 +181,15 @@ class NotOfForm:
     witness: Word
 
 
-def classify_non_recurrent(pair: AsymptoticPair, radius: int = 64,
-                           ) -> Union[RationalLimitClass, NotOfForm]:
+def classify_non_recurrent(pair: AsymptoticPair) -> Union[RationalLimitClass, NotOfForm]:
     """Recognize a non-recurrent pair with difference set {-1,0} as a limit pair.
 
-    Finds the shift relating x and y, extracts the central word, checks the
-    conjugacy characterization, and confirms the candidate (p, q, side) by
-    exact comparison with the constructed limit pair.  Returns a
-    distinguishability witness when the pair is not of this form.
+    The limit pair at p/(p+q) has x = sigma^s y, |s| = p + q, s > 0 above the
+    slope.  The shift comes from ``shift_relation``; the central word is
+    extracted, the conjugacy characterization checked, and the candidate
+    (p, q, side) confirmed by exact comparison with the constructed limit
+    pair.  Any other pair, shifted or not, gets a distinguishability witness
+    from the bounded check at length max(16, 2|s| + 8).
     """
     x, y = pair.x, pair.y
     if pair.diff != frozenset({-1, 0}):
@@ -198,22 +199,12 @@ def classify_non_recurrent(pair: AsymptoticPair, radius: int = 64,
     if is_recurrent(x) is not False:
         raise ValueError("pair is recurrent or of undecided recurrence; use the general classifier")
 
-    shift_k: Optional[int] = None
-    side = ""
-    for k in range(1, radius + 1):
-        if oracles_equal(x, shift(y, k)):
-            shift_k, side = k, "above"
-            break
-        if oracles_equal(y, shift(x, k)):
-            shift_k, side = k, "below"
-            break
-    if shift_k is None:
-        raise ValueError(f"no shift relation found within radius {radius}")
-
+    s = shift_relation(x, y) or 0
+    shift_k, side = abs(s), "above" if s > 0 else "below"
     candidate: Optional[tuple[int, int]] = None
     if shift_k == 1:
         candidate = (0, 1) if side == "above" else (1, 0)
-    else:
+    elif shift_k > 1:
         w0 = x.window(0, shift_k - 1)
         lower = w0 if side == "above" else w0[:-1] + (1,)
         if lower[0] == 0 and lower[-1] == 1 and pirillo_check(lower):
@@ -228,6 +219,6 @@ def classify_non_recurrent(pair: AsymptoticPair, radius: int = 64,
     verdict = check_indistinguishable(pair, max_len=max(16, 2 * shift_k + 8))
     if verdict.passed:
         raise ValueError(
-            "pair resisted classification yet no witness found; enlarge the search"
+            f"pair is not a limit pair, yet passes the check up to length {verdict.lengths_checked}"
         )
     return NotOfForm(verdict.witness)

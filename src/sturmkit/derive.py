@@ -13,9 +13,11 @@ interval, where the pair is (up to a one-letter relabeling) a pair of
 characteristic Sturmian words; the difference set of the rebuilt pair pins
 the shift, the result is verified pointwise on the requested window, and
 the slope is an interval from symbol frequencies.  Non-recurrent pairs are
-shifts of one another and reduce to the pair (^inf0.10^inf, ^inf0.010^inf)
-through a two-letter substitution built from the length-s eventual
-periods, s the shift between the members.
+shifts of one another, x = sigma^s y, with s read off the eventually periodic
+normal forms (``shift_relation``).  They reduce to (^inf0.10^inf,
+^inf0.010^inf) through a two-letter substitution built from the length-|s|
+eventual periods, proved equal to the input on all of Z.  When no shift
+relation is shown, a deeper bounded check supplies the witness.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .christoffel import RationalLimitClass, classify_non_recurrent
 from .patterns import (
@@ -45,6 +47,7 @@ from .sequences import (
     mechanical_image,
     oracles_equal,
     shift,
+    shift_relation,
     substitute,
     swap_base,
     window_difference,
@@ -431,29 +434,31 @@ def _verify_alignment(pair: AsymptoticPair, rx: SequenceOracle, ry: SequenceOrac
     return None
 
 
+def _witness_or_inconclusive(pair: AsymptoticPair, max_len: int, resource: str,
+                             steps: Sequence[Substitution] = ()) -> ClassifyOutcome:
+    """The bounded check's witness at max_len, carried back through the
+    derivation steps that produced ``pair``, else Inconclusive(resource)."""
+    verdict = check_indistinguishable(pair, max_len)
+    if verdict.passed:
+        return Inconclusive(resource)
+    witness = verdict.witness
+    for phi in reversed(steps):
+        witness = phi(witness)
+    return NotIndistinguishable(witness)
+
+
 def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
                             max_len: int) -> ClassifyOutcome:
-    x, y = pair.x, pair.y
     lo_f, hi_f = pair.span()
-    span = hi_f - lo_f + 1
+    s = shift_relation(pair.x, pair.y)
+    shift_s = abs(s or 0)
+    k = max(hi_f - lo_f + 1, shift_s + 1)
+    deep = max(max_len, 2 * (k + shift_s) + 4)
+    if s is None:
+        return _witness_or_inconclusive(pair, deep, "members are not shown to be shifts of one another")
+    x, y = (pair.x, pair.y) if s > 0 else (pair.y, pair.x)
 
-    shift_s = None
-    swapped = False
-    for s in range(1, 4 * span + 4 * max(abs(lo_f), abs(hi_f)) + 256):
-        if oracles_equal(x, shift(y, s)):
-            shift_s = s
-            break
-        if oracles_equal(y, shift(x, s)):
-            shift_s, swapped = s, True
-            break
-    if shift_s is None:
-        return Inconclusive("shift-relation search radius exhausted")
-    if swapped:
-        x, y = y, x
-
-    r = lo_f
-    xp = shift(x, r)
-    k = max(span, shift_s + 1)
+    xp = shift(x, lo_f)
     # full length-s period words; taking primitive roots here would break the
     # common-shift property whenever the eventual period divides s properly
     u = xp.window(k, k + shift_s - 1)
@@ -468,43 +473,31 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
                 phi = Substitution({0: w, 1: v + head}, BINARY, pair.alphabet)
                 break
     if phi is None:
-        deeper = check_indistinguishable(pair, max(max_len, 2 * (k + shift_s) + 4))
-        if not deeper.passed:
-            return NotIndistinguishable(deeper.witness)
-        return Inconclusive("conjugacy construction failed without a witness")
+        return _witness_or_inconclusive(pair, deep, "conjugacy construction failed without a witness")
 
-    base_x = EventuallyPeriodic.from_strings("0", "", "10", "0")
-    base_y = EventuallyPeriodic.from_strings("0", "", "010", "0")
-    rx = shift(substitute(phi, base_x), -r)
-    ry = shift(substitute(phi, base_y), -r)
+    # the base pair (^inf0.10^inf, ^inf0.010^inf)
+    rx, ry = (shift(substitute(phi, EventuallyPeriodic.from_strings("0", "", z, "0")), -lo_f)
+              for z in ("10", "010"))
     if not (oracles_equal(x, rx) and oracles_equal(y, ry)):
-        deeper = check_indistinguishable(pair, max(max_len, 2 * (k + shift_s) + 4))
-        if not deeper.passed:
-            return NotIndistinguishable(deeper.witness)
-        return Inconclusive("rebuilt pair does not match the input")
+        return _witness_or_inconclusive(pair, deep, "rebuilt pair does not match the input")
 
-    rational: Optional[RationalLimitClass] = None
+    # the limit classification wants the member reading 10 on {-1, 0} first
+    rational = None
     if (pair.alphabet == BINARY and pair.diff == frozenset({-1, 0})
-            and (pair.x.at(-1), pair.x.at(0)) == (1, 0)):
-        outcome = classify_non_recurrent(pair)
-        if isinstance(outcome, RationalLimitClass):
-            rational = outcome
+            and (ends := pair.x.window(-1, 0)) in ((1, 0), (0, 1))):
+        tens_first = pair if ends == (1, 0) else AsymptoticPair(pair.y, pair.x, pair.diff)
+        outcome = classify_non_recurrent(tens_first)
+        rational = outcome if isinstance(outcome, RationalLimitClass) else None
 
     return ClassificationResult(
         case="non_recurrent",
         phi=phi,
-        m=-r,
-        x_is_first=not swapped,
+        m=-lo_f,
+        x_is_first=s > 0,
         base=NonRecurrentBase(rational),
         verified_to=max_len,
         verify_window=window,
     )
-
-
-def _transport_witness(steps: list[Substitution], witness: Word) -> Word:
-    for phi in reversed(steps):
-        witness = phi(witness)
-    return witness
 
 
 def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
@@ -518,10 +511,7 @@ def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
         lo, hi = cur.span()
         k = hi - lo + 1
         if k == 1:
-            probe = check_indistinguishable(cur, 2)
-            if not probe.passed:
-                return NotIndistinguishable(_transport_witness(steps, probe.witness))
-            return Inconclusive("difference set degenerated to one position")
+            return _witness_or_inconclusive(cur, 2, "difference set degenerated to one position", steps)
         if k == 2:
             break
         shifted = shift_pair(cur, lo)
@@ -553,10 +543,7 @@ def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     base2 = shift_pair(cur, lo + 1)
     a_sym, b_sym = base2.x.at(-1), base2.x.at(0)
     if (base2.y.at(-1), base2.y.at(0)) != (b_sym, a_sym) or a_sym == b_sym:
-        probe = check_indistinguishable(base2, 2)
-        if not probe.passed:
-            return NotIndistinguishable(_transport_witness(steps, probe.witness))
-        return Inconclusive("base pair is not a two-letter exchange")
+        return _witness_or_inconclusive(base2, 2, "base pair is not a two-letter exchange", steps)
 
     alpha_bet = base2.alphabet
     relabel = Substitution({1: (a_sym,), 0: (b_sym,)}, BINARY, alpha_bet)

@@ -20,9 +20,9 @@ Nothing is memoised.
 
 A private normalization pass reduces any oracle in the algebra to one of
 three normal forms (eventually periodic / irrational mechanical /
-substitution image of one of those).  Equality, recurrence and difference
-sets of pairs are decided exactly on normal forms; ``patterns`` builds its
-certification on top of this.
+substitution image of one of those).  Equality, recurrence, shift relations
+and difference sets of pairs are decided exactly on normal forms;
+``patterns`` builds its certification on top of this.
 """
 
 from __future__ import annotations
@@ -783,11 +783,32 @@ def _nf_recurrent(nf: NormalForm) -> Optional[bool]:
     if isinstance(nf, NFMech):
         return True
     if isinstance(nf, NFEvp):
-        # fully periodic iff globally pu-periodic; check one exact window
-        hi = nf.rb + nf.pw + math.lcm(nf.pu, nf.pw)
-        text = nf.oracle.window(nf.lb - nf.pu, hi + nf.pu)
-        return text[nf.pu:] == text[:-nf.pu]
+        return _departure(nf) is None  # fully periodic
     if isinstance(nf, NFSubst):
         base = True if isinstance(nf.base, NFMech) else nf.base.oracle.known_recurrent
         return True if base else None
     return nf.oracle.known_recurrent
+
+
+def _departure(nf: NFEvp) -> Optional[int]:
+    """The first n with x_n != x_{n-pu}, where x leaves the periodic extension
+    of its left tail (None: x is purely periodic).  No n < lb + pu departs and
+    for n - pu >= rb the test has period pw, so [lb, max(lb, rb) + pu + pw]
+    decides.  Every multiple of the left period gives the same departure."""
+    lo, p = nf.lb, nf.pu
+    text = nf.oracle.window(lo, max(lo, nf.rb) + p + nf.pw)
+    return next((lo + i for i in range(p, len(text)) if text[i] != text[i - p]), None)
+
+
+def shift_relation(x: SequenceOracle, y: SequenceOracle) -> Optional[int]:
+    """The s != 0 with x = sigma^s y for eventually periodic members that are
+    not purely periodic; None otherwise.  The departure of sigma^s y is that
+    of y minus s, so departure(y) - departure(x) is the one candidate, and
+    one exact comparison confirms it."""
+    nx, ny = normal_form(x), normal_form(y)
+    if not (isinstance(nx, NFEvp) and isinstance(ny, NFEvp)):
+        return None
+    ax, ay = _departure(nx), _departure(ny)
+    if ax is None or ay is None or ax == ay or not oracles_equal(x, shift(y, ay - ax)):
+        return None
+    return ay - ax

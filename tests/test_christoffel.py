@@ -132,6 +132,22 @@ def test_classify_remark_pair(remark_pair):
     assert discrepancy(Pattern.from_word(to_word("100110")), remark_pair) == 1
 
 
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_classify_non_recurrent_beyond_64_shifts(side):
+    # the shift p + q = 71 is computed from the normal forms, not searched
+    assert classify_non_recurrent(limit_pair(40, 31, side).pair) == RationalLimitClass(40, 31, side)
+
+
+def test_classify_members_not_shifts():
+    # ^inf0 01.0 1^inf and ^inf0 0.1 1^inf share both tails, but no shift relates them
+    x = EventuallyPeriodic.from_strings("0", "01", "0", "1")
+    y = EventuallyPeriodic.from_strings("0", "0", "1", "1")
+    pair = certify_asymptotic(x, y, 4)
+    out = classify_non_recurrent(pair)
+    assert isinstance(out, NotOfForm) and len(out.witness) == 2
+    assert discrepancy(Pattern.from_word(out.witness), pair) != 0
+
+
 def test_classify_non_recurrent_preconditions(golden_pair):
     with pytest.raises(ValueError):
         classify_non_recurrent(golden_pair)  # recurrent input

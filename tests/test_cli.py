@@ -4,10 +4,13 @@ import pytest
 from jsonschema import validate
 
 from sturmkit import derive
+from sturmkit.christoffel import christoffel
 from sturmkit.cli import _classification_doc, main, parse_oracle
 from sturmkit.derive import derived_pair
 from sturmkit.patterns import certify_asymptotic, shift_pair
 from sturmkit.slopes import QuadraticIrrational, parse_slope
+
+from conftest import to_str
 
 GOLDEN_EXPR = "lower((-1+1*sqrt(5))/2)"
 GOLDEN_UPPER_EXPR = "upper((-1+1*sqrt(5))/2)"
@@ -220,6 +223,20 @@ def test_classify_limit_pair(capsys):
     assert code == 0 and doc["status"] == "classified"
     assert doc["case"] == "non_recurrent"
     assert doc["base"]["rational_class"] == {"p": 2, "q": 1, "side": "above"}
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_classify_limit_pair_beyond_64_shifts(capsys, side):
+    m = to_str(christoffel(40, 31).word[1:-1])
+    lower, upper = f"0{m}1", f"1{m}0"
+    if side == "above":
+        x, y = f"evp({upper}|1{m}1.|{lower})", f"evp({upper}|.1{m}1|{lower})"
+    else:
+        x, y = f"evp({lower}|.0{m}0|{upper})", f"evp({lower}|0{m}0.|{upper})"
+    for args in (("--x", x, "--y", y), ("--x", y, "--y", x)):
+        code, doc = run_json(capsys, "classify", *args, "--json")
+        assert code == 0 and doc["status"] == "classified"
+        assert doc["base"]["rational_class"] == {"p": 40, "q": 31, "side": side}
 
 
 def test_classify_sturmian(capsys):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sturmkit as sk
+from sturmkit.christoffel import RationalLimitClass, limit_pair
 from sturmkit.derive import (
     ClassificationResult,
+    Inconclusive,
     MechanicalBase,
     NotIndistinguishable,
     SturmianBase,
@@ -20,6 +22,7 @@ from sturmkit.derive import (
 )
 from sturmkit.language import complexity_profile, toeplitz_thue_morse_pair
 from sturmkit.patterns import (
+    AsymptoticPair,
     Pattern,
     certify_asymptotic,
     check_indistinguishable,
@@ -202,6 +205,37 @@ def test_classify_degenerate_non_recurrent():
     assert isinstance(out, ClassificationResult) and out.case == "non_recurrent"
     assert out.m == 0 and out.x_is_first
     assert out.phi.images == {0: (0,), 1: (1,)}
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("p, q", [(3, 5), (40, 31)])
+def test_classify_limit_pair_in_both_orders(p, q, side):
+    pair = limit_pair(p, q, side).pair
+    for x, y in ((pair.x, pair.y), (pair.y, pair.x)):
+        out = classify(AsymptoticPair(x, y, pair.diff), window=(-30, 30), max_len=10)
+        assert isinstance(out, ClassificationResult) and out.case == "non_recurrent"
+        assert out.base.rational_class == RationalLimitClass(p, q, side)
+        # x comes first when x = sigma^s y with s > 0: the 10 member above the slope
+        assert out.x_is_first == ((x is pair.x) == (side == "above"))
+
+
+def test_classify_members_not_shifts():
+    # equal counts of 0 and 1 across {-1, 0}: the length-1 check passes, and
+    # since no shift relates the members the deeper check finds the witness
+    x = EventuallyPeriodic.from_strings("0", "01", "0", "1")
+    y = EventuallyPeriodic.from_strings("0", "0", "1", "1")
+    out = classify(certify_asymptotic(x, y, 4), window=(-30, 30), max_len=1)
+    assert isinstance(out, NotIndistinguishable) and to_str(out.witness) == "00"
+
+
+def test_classify_opaque_non_recurrent_is_inconclusive():
+    # derived views have no normal form to read a shift from
+    phi = Substitution({0: (0, 1), 1: (0, 0, 1)}, BINARY, BINARY)
+    x, y = (substitute(phi, EventuallyPeriodic.from_strings("0", "", z, "0")) for z in ("10", "010"))
+    pair = certify_asymptotic(x, y, 20)
+    derived = derived_pair(shift_pair(pair, min(pair.diff)), 0, (-64, 64))
+    out = classify(derived, window=(-30, 30), max_len=8)
+    assert out == Inconclusive("members are not shown to be shifts of one another")
 
 
 def test_classify_rejects_toeplitz():

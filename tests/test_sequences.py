@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sturmkit as sk
+from sturmkit.christoffel import limit_pair
 from sturmkit.derive import DerivedView, derived_sequence
 from sturmkit.sequences import (
     BINARY,
@@ -26,6 +28,7 @@ from sturmkit.sequences import (
     render_window,
     reverse,
     shift,
+    shift_relation,
     substitute,
 )
 from sturmkit.slopes import floor_mul_add, ceil_mul_add
@@ -576,3 +579,107 @@ def test_block_start_closed_form_matches_walk():
             assert [b - a for a, b in zip(blocks, blocks[1:])] == [phi.image_len(s) for s in base_word]
             assert image.window(blocks[0], blocks[-1] - 1) == phi(base_word)
             assert image.at(blocks[2]) == phi.images[base_word[2]][0]
+
+
+# ---------------------------------------------------------------------------
+# shift relations against the search loops they replaced
+
+
+def reference_shift_relation(x, y, radius=40):
+    """The search loop: try s = 1, 2, ... in both directions, two exact
+    comparisons each."""
+    for s in range(1, radius + 1):
+        if oracles_equal(x, shift(y, s)):
+            return s
+        if oracles_equal(y, shift(x, s)):
+            return -s
+    return None
+
+
+def reference_purely_periodic(nf):
+    """The window check that decided full periodicity of an eventually
+    periodic normal form: one window compared with itself shifted by pu."""
+    hi = nf.rb + nf.pw + math.lcm(nf.pu, nf.pw)
+    text = nf.oracle.window(nf.lb - nf.pu, hi + nf.pu)
+    return text[nf.pu:] == text[:-nf.pu]
+
+
+@st.composite
+def noncommuting(draw, size):
+    image = st.lists(st.integers(0, size - 1), min_size=1, max_size=4).map(tuple)
+    im0, im1 = draw(image), draw(image)
+    assume(im0 + im1 != im1 + im0)
+    return Substitution({0: im0, 1: im1}, BINARY, alphabet_of_size(size))
+
+
+@st.composite
+def non_recurrent_constructions(draw):
+    """sigma^m phi(^inf0.10^inf, ^inf0.010^inf) for a non-commuting phi."""
+    phi = draw(st.integers(2, 3).flatmap(noncommuting))
+    m = draw(st.integers(-6, 6))
+    return tuple(shift(substitute(phi, evp("0", "", z, "0")), m) for z in ("10", "010"))
+
+
+LIMIT_FORMS = [(p, q, side) for p in range(9) for q in range(9) for side in ("above", "below")
+               if math.gcd(p, q) == 1 and (p, q, side) not in ((1, 0, "above"), (0, 1, "below"))]
+
+
+def limit_pairs():
+    return st.sampled_from(LIMIT_FORMS).map(lambda form: limit_pair(*form).pair).map(
+        lambda pair: (pair.x, pair.y))
+
+
+@st.composite
+def recurrent_constructions(draw):
+    phi = draw(st.integers(2, 3).flatmap(noncommuting))
+    alpha = draw(st.sampled_from([GOLDEN, SQRT2_HALF, GOLDEN_COMPL]))
+    m = draw(st.integers(-6, 6))
+    return tuple(shift(substitute(phi, shift(cls(alpha), 1)), m)
+                 for cls in (MechanicalLower, MechanicalUpper))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(non_recurrent_constructions(), limit_pairs(), evp_pairs(),
+                 recurrent_constructions()),
+       st.booleans())
+def test_shift_relation_matches_search(pair, swap):
+    x, y = pair[::-1] if swap else pair
+    s = shift_relation(x, y)
+    if is_recurrent(x) or is_recurrent(y):
+        # purely periodic members are shifts by every period; no single s
+        assert s is None
+        return
+    assert s == reference_shift_relation(x, y)
+    if s is not None:
+        assert s != 0 and oracles_equal(x, shift(y, s))
+        assert shift_relation(y, x) == -s
+
+
+def test_shift_relation_far_out():
+    # p + q = 71 shifts, beyond the 64 that the christoffel search tried
+    for side, sign in (("above", 1), ("below", -1)):
+        pair = limit_pair(40, 31, side).pair
+        assert shift_relation(pair.x, pair.y) == 71 * sign
+    far = evp("01", "", "1" * 300 + "0", "10")
+    assert shift_relation(shift(far, -1000), far) == -1000
+    # shared tails, but not shifts of one another
+    assert shift_relation(evp("0", "01", "0", "1"), evp("0", "0", "1", "1")) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(wrapped(evps()), images(evps()), images(binary_images(evps())),
+                 wrapped(images(evps())), wrapped(mechanical_words())))
+def test_departure_decides_periodicity(x):
+    from sturmkit.sequences import _departure
+
+    nf = normal_form(x)
+    assume(isinstance(nf, NFEvp))
+    d = _departure(nf)
+    assert (d is None) == reference_purely_periodic(nf)
+    p = nf.pu
+    if d is None:
+        text = x.window(-200 - p, 200)
+        assert text[p:] == text[:-p]
+    else:
+        text = x.window(d - 60 - p, d)
+        assert text[p:-1] == text[:-p - 1] and text[-1] != text[-1 - p]
