@@ -200,25 +200,33 @@ def classify_non_recurrent(pair: AsymptoticPair) -> Union[RationalLimitClass, No
         raise ValueError("pair is recurrent or of undecided recurrence; use the general classifier")
 
     s = shift_relation(x, y) or 0
-    shift_k, side = abs(s), "above" if s > 0 else "below"
-    candidate: Optional[tuple[int, int]] = None
-    if shift_k == 1:
-        candidate = (0, 1) if side == "above" else (1, 0)
-    elif shift_k > 1:
-        w0 = x.window(0, shift_k - 1)
-        lower = w0 if side == "above" else w0[:-1] + (1,)
-        if lower[0] == 0 and lower[-1] == 1 and pirillo_check(lower):
-            p = sum(lower)
-            candidate = (p, shift_k - p)
-    if candidate is not None:
-        p, q = candidate
-        form = limit_pair(p, q, side)
-        if oracles_equal(x, form.pair.x) and oracles_equal(y, form.pair.y):
-            return RationalLimitClass(p, q, side)
+    limit = _limit_class(x, y, s)
+    if limit is not None:
+        return limit
 
-    verdict = check_indistinguishable(pair, max_len=max(16, 2 * shift_k + 8))
+    verdict = check_indistinguishable(pair, max_len=max(16, 2 * abs(s) + 8))
     if verdict.passed:
         raise ValueError(
             f"pair is not a limit pair, yet passes the check up to length {verdict.lengths_checked}"
         )
     return NotOfForm(verdict.witness)
+
+
+def _limit_class(x: SequenceOracle, y: SequenceOracle, s: int) -> Optional[RationalLimitClass]:
+    """The limit class of x, y with x = sigma^s y (s = 0: no shift relation),
+    x reading 10 and y reading 01 on {-1, 0}: the central word read off x
+    gives the one candidate (p, q, side), which exact comparison with the
+    constructed limit pair confirms or rejects (None)."""
+    shift_k, side = abs(s), "above" if s > 0 else "below"
+    if shift_k == 0:
+        return None
+    w0 = x.window(0, shift_k - 1)
+    lower = w0 if side == "above" else w0[:-1] + (1,)
+    # at shift 1, x_0 = 0 makes lower the word 0 (above) or 1 (below)
+    if shift_k > 1 and not (lower[0] == 0 and lower[-1] == 1 and pirillo_check(lower)):
+        return None
+    p = sum(lower)
+    form = limit_pair(p, shift_k - p, side)
+    if oracles_equal(x, form.pair.x) and oracles_equal(y, form.pair.y):
+        return RationalLimitClass(p, shift_k - p, side)
+    return None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .christoffel import RationalLimitClass, classify_non_recurrent
+from .christoffel import RationalLimitClass, _limit_class
 from .patterns import (
     AsymptoticPair,
     NotAsymptoticError,
@@ -464,16 +464,13 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     u = xp.window(k, k + shift_s - 1)
     w = xp.window(-shift_s, -1)
 
-    phi = None
-    for off in occurrences(w, u + u):
-        if off < len(u):
-            head, tail = u[:off], u[off:]
-            if tail + head == w:
-                v = xp.window(0, k - shift_s - 1)
-                phi = Substitution({0: w, 1: v + head}, BINARY, pair.alphabet)
-                break
-    if phi is None:
+    # |w| = |u|, so the first occurrence of w in u + u is at some off < |u|
+    # and spells u[off:] + u[:off]: w is that conjugate of u
+    off = next(iter(occurrences(w, u + u)), None)
+    if off is None:
         return _witness_or_inconclusive(pair, deep, "conjugacy construction failed without a witness")
+    v = xp.window(0, k - shift_s - 1)
+    phi = Substitution({0: w, 1: v + u[:off]}, BINARY, pair.alphabet)
 
     # the base pair (^inf0.10^inf, ^inf0.010^inf)
     rx, ry = (shift(substitute(phi, EventuallyPeriodic.from_strings("0", "", z, "0")), -lo_f)
@@ -485,9 +482,8 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     rational = None
     if (pair.alphabet == BINARY and pair.diff == frozenset({-1, 0})
             and (ends := pair.x.window(-1, 0)) in ((1, 0), (0, 1))):
-        tens_first = pair if ends == (1, 0) else AsymptoticPair(pair.y, pair.x, pair.diff)
-        outcome = classify_non_recurrent(tens_first)
-        rational = outcome if isinstance(outcome, RationalLimitClass) else None
+        rational = (_limit_class(pair.x, pair.y, s) if ends == (1, 0)
+                    else _limit_class(pair.y, pair.x, -s))
 
     return ClassificationResult(
         case="non_recurrent",

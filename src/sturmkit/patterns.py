@@ -91,10 +91,6 @@ class Pattern:
         """Does the pattern match the word placed so that index i is its origin?"""
         return all(word[i + p] == s for p, s in self.cells)
 
-    def matches_at(self, x: SequenceOracle, n: int) -> bool:
-        lo, hi = self.extent
-        return self.matches_in(x.window(n + lo, n + hi), -lo)
-
 
 @dataclass(frozen=True)
 class AsymptoticPair:

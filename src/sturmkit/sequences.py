@@ -16,13 +16,15 @@ built on, so a read costs
   extended prefix sums over any other base, plus one window of the base over
   those blocks.
 
-Nothing is memoised.
+Symbol reads use no cache.
 
 A private normalization pass reduces any oracle in the algebra to one of
 three normal forms (eventually periodic / irrational mechanical /
-substitution image of one of those).  Equality, recurrence, shift relations
-and difference sets of pairs are decided exactly on normal forms;
-``patterns`` builds its certification on top of this.
+substitution image of one of those).  Each oracle computes its normal form
+once and keeps it, and each normal form holds an oracle that reads it.
+Equality, recurrence, shift relations and difference sets of pairs are
+decided exactly on normal forms; ``patterns`` builds its certification on
+top of this.
 """
 
 from __future__ import annotations
@@ -183,6 +185,7 @@ class SequenceOracle:
 
     # recurrence metadata for oracles outside the closed algebra
     known_recurrent: Optional[bool] = None
+    _normal_form: Optional["NormalForm"] = None  # set once by normal_form
 
 
 class Mechanical(SequenceOracle):
@@ -328,8 +331,6 @@ class SubstImage(SequenceOracle):
         self.base = base
         self.phi = phi
         self.anchor = anchor
-        # image of a recurrent sequence is recurrent; nothing follows otherwise
-        self.known_recurrent = True if base.known_recurrent else None
         self._lens = [phi.image_len(s) for s in range(phi.domain.size)]
         mech, k = (base.base, base.k) if isinstance(base, Shift) else (base, 0)
         # closed form: (mechanical word, its offset k, height at k), else None
@@ -459,6 +460,17 @@ class NFEvp:
     pw: int
     rb: int
 
+    @cached_property
+    def departure(self) -> Optional[int]:
+        """The first n with x_n != x_{n-pu}, where x leaves the periodic
+        extension of its left tail (None: x is purely periodic).  No n < lb + pu
+        departs and for n - pu >= rb the test has period pw, so
+        [lb, max(lb, rb) + pu + pw] decides.  Every multiple of the left period
+        gives the same departure."""
+        lo, p = self.lb, self.pu
+        text = self.oracle.window(lo, max(lo, self.rb) + p + self.pw)
+        return next((lo + i for i in range(p, len(text)) if text[i] != text[i - p]), None)
+
 
 @dataclass
 class NFMech:
@@ -473,7 +485,8 @@ class NFMech:
     rho: Fraction
     offset: int
 
-    def as_oracle(self) -> SequenceOracle:
+    @cached_property
+    def oracle(self) -> SequenceOracle:
         cls = MechanicalLower if self.kind == "lower" else MechanicalUpper
         return shift(cls(self.alpha, self.rho), self.offset)
 
@@ -489,16 +502,11 @@ class NFSubst:
     phi: Substitution
     base: Union[NFMech, "NFOpaque"]
     anchor: int
-    oracle: SequenceOracle  # for value reads
 
     @cached_property
-    def image(self) -> SubstImage:
-        """The image rebuilt from phi, base and anchor; it supplies block starts."""
-        return SubstImage(_nf_base_oracle(self.base), self.phi, self.anchor)
-
-    def start(self, i: int) -> int:
-        """Image position where the block of base symbol i begins."""
-        return self.image.block_start(i)
+    def oracle(self) -> SubstImage:
+        """The image of the base; it serves reads and block starts."""
+        return SubstImage(self.base.oracle, self.phi, self.anchor)
 
 
 @dataclass
@@ -536,6 +544,13 @@ def _common_root_collapse(phi: Substitution) -> Optional[Word]:
 
 
 def normal_form(x: SequenceOracle) -> NormalForm:
+    """x's normal form, computed on the first call and kept on x."""
+    if x._normal_form is None:
+        x._normal_form = _normalize(x)
+    return x._normal_form
+
+
+def _normalize(x: SequenceOracle) -> NormalForm:
     if isinstance(x, Mechanical):
         if is_rational(x.alpha):
             q = x.alpha.denominator  # x is purely q-periodic
@@ -552,7 +567,7 @@ def normal_form(x: SequenceOracle) -> NormalForm:
         if isinstance(nf, NFMech):
             return NFMech(nf.kind, nf.alpha, nf.rho, nf.offset + x.k)
         if isinstance(nf, NFSubst):
-            return NFSubst(nf.phi, nf.base, nf.anchor - x.k, x)
+            return NFSubst(nf.phi, nf.base, nf.anchor - x.k)
         return NFOpaque(x)
 
     if isinstance(x, Reversal):
@@ -564,11 +579,11 @@ def normal_form(x: SequenceOracle) -> NormalForm:
         if isinstance(nf, NFSubst):
             # block i of the image, [start(i), start(i+1)), lands on
             # [-start(i+1) + 1, -start(i)]; base symbol i moves to -i
-            anchor = -nf.start(1) + 1
+            anchor = -nf.oracle.block_start(1) + 1
             rev_phi = nf.phi.reversed_images()
             if isinstance(nf.base, NFMech):
                 return _subst_over_mech(rev_phi, _reverse_mech(nf.base), anchor, x)
-            return NFSubst(rev_phi, NFOpaque(Reversal(nf.base.oracle)), anchor, x)
+            return NFSubst(rev_phi, NFOpaque(Reversal(nf.base.oracle)), anchor)
         return NFOpaque(x)
 
     if isinstance(x, SubstImage):
@@ -581,22 +596,20 @@ def normal_form(x: SequenceOracle) -> NormalForm:
             return NFEvp(x, start(nf.lb) - start(nf.lb - nf.pu), start(nf.lb - nf.pu),
                          start(nf.rb + nf.pw) - start(nf.rb), start(nf.rb))
         if isinstance(nf, NFSubst):
-            # compose the two substitutions; the inner image anchored at 0
-            # supplies the realignment term S_z(-inner.anchor)
-            z = SubstImage(_nf_base_oracle(nf.base), nf.phi, 0)
-            adj = SubstImage(z, phi).block_start(-nf.anchor)
+            # x's base is psi(B); its position 0 lies in block i of B, which
+            # begins at s <= 0.  Under phi o psi that block begins |phi(x.base
+            # [s, 0))| before the block of x.base_0, which begins at anchor
+            i, s, _ = nf.oracle._block_of(0)
+            head = len(phi(nf.oracle.window(s, -1))) if s < 0 else 0
             composed = phi.compose(nf.phi)
-            return _collapse_or_keep(NFSubst(composed, nf.base, anchor - adj, x), x)
+            offset = SubstImage(nf.base.oracle, composed).block_start(i)
+            return _collapse_or_keep(NFSubst(composed, nf.base, anchor - head - offset), x)
         if isinstance(nf, NFMech):
             return _subst_over_mech(phi, nf, anchor, x)
         # opaque base
-        return _collapse_or_keep(NFSubst(phi, NFOpaque(x.base), anchor, x), x)
+        return _collapse_or_keep(NFSubst(phi, NFOpaque(x.base), anchor), x)
 
     return NFOpaque(x)
-
-
-def _nf_base_oracle(base: Union[NFMech, "NFOpaque"]) -> SequenceOracle:
-    return base.as_oracle() if isinstance(base, NFMech) else base.oracle
 
 
 def _reverse_mech(base: NFMech) -> NFMech:
@@ -610,12 +623,13 @@ def _subst_over_mech(phi: Substitution, mech: NFMech, anchor: int,
     """Normal form of the image of ``mech`` with block 0 at ``anchor``: the
     mechanical offset is absorbed into the anchor, so the base sits at offset 0."""
     mech0 = NFMech(mech.kind, mech.alpha, mech.rho, 0)
-    adj = SubstImage(mech0.as_oracle(), phi).block_start(mech.offset)
     if mech0.alpha.compare_fraction(_HALF) > 0:
         # one orientation per image: the base slope is below 1/2, so two
         # images of one word compare base to base under equal image keys
         phi, mech0 = swap_base(phi, mech0)
-    return _collapse_or_keep(NFSubst(phi, mech0, anchor - adj, x), x)
+    # the swapped pair spells the same blocks, so it gives the same start
+    adj = SubstImage(mech0.oracle, phi).block_start(mech.offset)
+    return _collapse_or_keep(NFSubst(phi, mech0, anchor - adj), x)
 
 
 _HALF = Fraction(1, 2)
@@ -640,7 +654,7 @@ def mechanical_image(x: SequenceOracle) -> Optional[NFSubst]:
     nf = normal_form(x)
     if isinstance(nf, NFMech):
         base = NFMech(nf.kind, nf.alpha, nf.rho, 0)
-        return NFSubst(Substitution({0: (0,), 1: (1,)}, BINARY, x.alphabet), base, -nf.offset, x)
+        return NFSubst(Substitution({0: (0,), 1: (1,)}, BINARY, x.alphabet), base, -nf.offset)
     if isinstance(nf, NFSubst) and isinstance(nf.base, NFMech):
         return nf
     return None
@@ -678,11 +692,6 @@ class UncertifiableError(ValueError):
     """No structural certificate of agreement outside a finite set is available."""
 
 
-def _read_nf(nf: NormalForm, n: int) -> int:
-    oracle = nf.as_oracle() if isinstance(nf, NFMech) else nf.oracle
-    return oracle.at(n)
-
-
 def _evp_difference(nx: NFEvp, ny: NFEvp) -> frozenset[int]:
     pl = math.lcm(nx.pu, ny.pu)
     pr = math.lcm(nx.pw, ny.pw)
@@ -718,8 +727,8 @@ def _subst_difference(nx: NFSubst, ny: NFSubst) -> frozenset[int]:
             raise NotAsymptoticError("misaligned images of the same aperiodic word")
         raise UncertifiableError("misaligned images of an opaque word")
     lo, hi = min(base_diff), max(base_diff)
-    lx, rx = nx.start(lo), nx.start(hi + 1)
-    ly, ry = ny.start(lo), ny.start(hi + 1)
+    lx, rx = nx.oracle.block_start(lo), nx.oracle.block_start(hi + 1)
+    ly, ry = ny.oracle.block_start(lo), ny.oracle.block_start(hi + 1)
     if lx != ly or rx != ry:
         if isinstance(nx.base, NFMech):
             raise NotAsymptoticError("image tails shifted against each other")
@@ -783,21 +792,11 @@ def _nf_recurrent(nf: NormalForm) -> Optional[bool]:
     if isinstance(nf, NFMech):
         return True
     if isinstance(nf, NFEvp):
-        return _departure(nf) is None  # fully periodic
+        return nf.departure is None  # fully periodic
     if isinstance(nf, NFSubst):
         base = True if isinstance(nf.base, NFMech) else nf.base.oracle.known_recurrent
         return True if base else None
     return nf.oracle.known_recurrent
-
-
-def _departure(nf: NFEvp) -> Optional[int]:
-    """The first n with x_n != x_{n-pu}, where x leaves the periodic extension
-    of its left tail (None: x is purely periodic).  No n < lb + pu departs and
-    for n - pu >= rb the test has period pw, so [lb, max(lb, rb) + pu + pw]
-    decides.  Every multiple of the left period gives the same departure."""
-    lo, p = nf.lb, nf.pu
-    text = nf.oracle.window(lo, max(lo, nf.rb) + p + nf.pw)
-    return next((lo + i for i in range(p, len(text)) if text[i] != text[i - p]), None)
 
 
 def shift_relation(x: SequenceOracle, y: SequenceOracle) -> Optional[int]:
@@ -808,7 +807,7 @@ def shift_relation(x: SequenceOracle, y: SequenceOracle) -> Optional[int]:
     nx, ny = normal_form(x), normal_form(y)
     if not (isinstance(nx, NFEvp) and isinstance(ny, NFEvp)):
         return None
-    ax, ay = _departure(nx), _departure(ny)
+    ax, ay = nx.departure, ny.departure
     if ax is None or ay is None or ax == ay or not oracles_equal(x, shift(y, ay - ax)):
         return None
     return ay - ax

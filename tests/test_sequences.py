@@ -220,11 +220,10 @@ def test_normal_form_reads_match_oracle():
         substitute(outer, reverse(substitute(inner, MechanicalLower(GOLDEN)))),
         shift(substitute(outer, shift(substitute(inner, MechanicalLower(GOLDEN)), 2)), -1),
     ]
-    from sturmkit.sequences import _read_nf
     for x in oracles:
         nf = normal_form(x)
         for n in range(-15, 16):
-            assert _read_nf(nf, n) == x.at(n), (x, n)
+            assert nf.oracle.at(n) == x.at(n), (x, n)
 
 
 SWAP = Substitution({0: (1,), 1: (0,)}, BINARY, BINARY)
@@ -582,6 +581,82 @@ def test_block_start_closed_form_matches_walk():
 
 
 # ---------------------------------------------------------------------------
+# normal forms of nested images: composed in closed form, kept on the oracle
+
+
+NESTED_BASES = [MechanicalLower(GOLDEN), MechanicalUpper(SQRT2_HALF),
+                shift(MechanicalLower(GOLDEN_COMPL), 3), MechanicalLower(Fraction(5, 13)),
+                evp("01", "1", "0", "110"),
+                derived_sequence(MechanicalUpper(GOLDEN), 1, (-50, 50)).oracle]
+
+
+@st.composite
+def nested_images(draw):
+    """phi(sigma^K psi(base)) for K in [-2000, 2000] under a few shifts and
+    reversals, with the position where the block of psi(base)_0 lands."""
+    base = draw(st.sampled_from(NESTED_BASES))
+    inner = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+    psi = Substitution({0: draw(inner), 1: draw(inner)}, base.alphabet, BINARY)
+    size = draw(st.integers(2, 3))
+    outer = st.lists(st.integers(0, size - 1), min_size=1, max_size=3).map(tuple)
+    phi = Substitution({0: draw(outer), 1: draw(outer)}, BINARY, alphabet_of_size(size))
+    k = draw(st.integers(-2000, 2000))
+    inner_image = SubstImage(base, psi, draw(st.integers(-5, 5)))
+    x = SubstImage(shift(inner_image, k), phi, draw(st.integers(-5, 5)))
+    far = x.block_start(inner_image.anchor - k)
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            t = draw(st.integers(-50, 50))
+            x, far = shift(x, t), far - t
+        else:
+            x, far = reverse(x), -far
+    return x, far
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_images(), st.booleans(), st.integers(-30, 30), st.integers(0, 30))
+def test_nested_normal_form_reads_like_the_oracle(case, at_far, lo, length):
+    # x reads through lazy prefix sums; its normal form through one image of the base
+    x, far = case
+    lo += far if at_far else 0
+    assert normal_form(x).oracle.window(lo, lo + length) == x.window(lo, lo + length)
+
+
+def test_normal_form_is_computed_once():
+    x = shift(substitute(TM, shift(substitute(TM, MechanicalLower(GOLDEN)), 7)), -2)
+    assert normal_form(x) is normal_form(x)
+    assert normal_form(x).base.oracle is normal_form(x).base.oracle
+
+
+def far_nested_pair(k):
+    phi = Substitution({0: (0, 1, 1), 1: (1, 0)}, BINARY, BINARY)
+    fib = Substitution({0: (0, 1), 1: (0,)}, BINARY, BINARY)
+    return [substitute(phi, shift(substitute(fib, shift(cls(GOLDEN), 1)), k))
+            for cls in (MechanicalLower, MechanicalUpper)]
+
+
+def test_far_shifted_nested_images_difference_set():
+    # the difference block sits near -2.7 k; its place comes from O(1) exact
+    # floors, so k = 10^30 costs what k = 10^4 does, and the members differ
+    # in the same shape: phi o fib of 10 against 01
+    def shape(diff):
+        return sorted(n - min(diff) for n in diff)
+
+    near = difference_set(*far_nested_pair(10 ** 4))
+    assert shape(near) == [0, 1, 2, 4]
+    for k in (10 ** 30, -10 ** 30):
+        assert shape(difference_set(*far_nested_pair(k))) == shape(near)
+
+
+def test_far_shifted_nested_images_match_windows():
+    x, y = far_nested_pair(10 ** 6)
+    diff = difference_set(x, y)
+    lo, hi = min(diff) - 50, max(diff) + 50
+    assert diff == {n for n, a, b in zip(range(lo, hi + 1), x.window(lo, hi), y.window(lo, hi))
+                    if a != b}
+
+
+# ---------------------------------------------------------------------------
 # shift relations against the search loops they replaced
 
 
@@ -670,11 +745,9 @@ def test_shift_relation_far_out():
 @given(st.one_of(wrapped(evps()), images(evps()), images(binary_images(evps())),
                  wrapped(images(evps())), wrapped(mechanical_words())))
 def test_departure_decides_periodicity(x):
-    from sturmkit.sequences import _departure
-
     nf = normal_form(x)
     assume(isinstance(nf, NFEvp))
-    d = _departure(nf)
+    d = nf.departure
     assert (d is None) == reference_purely_periodic(nf)
     p = nf.pu
     if d is None:
