@@ -34,10 +34,10 @@ from .christoffel import (
 )
 from .language import complexity_profile
 from .patterns import (
+    AsymptoticPair,
     NotAsymptoticError,
     UncertifiableError,
     Verdict,
-    certify_asymptotic,
     check_indistinguishable,
 )
 from .sequences import (
@@ -48,6 +48,7 @@ from .sequences import (
     MechanicalUpper,
     SequenceOracle,
     Substitution,
+    difference_set,
     render_window,
     render_word,
     reverse,
@@ -307,7 +308,8 @@ def _certify_or_report(args, command: str):
     """(pair, None) for a certified pair, else (None, exit code) after
     emitting why the pair is not asymptotic or cannot be certified."""
     try:
-        return certify_asymptotic(parse_oracle(args.x), parse_oracle(args.y), args.radius), None
+        x, y = parse_oracle(args.x), parse_oracle(args.y)
+        return AsymptoticPair(x, y, difference_set(x, y)), None
     except (NotAsymptoticError, UncertifiableError) as exc:
         (status, code), reason = _PAIR_OUTCOMES[type(exc)], str(exc)
     doc = {"schema_version": SCHEMA_VERSION, "command": command,
@@ -490,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
-    p.add_argument("--radius", type=int, default=64)
     add_common(p)
     p.set_defaults(func=cmd_check_indist)
 
@@ -499,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--window", default="-64:64")
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
-    p.add_argument("--radius", type=int, default=64)
     add_common(p)
     p.set_defaults(func=cmd_classify)
 

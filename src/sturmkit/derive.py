@@ -97,9 +97,10 @@ class DerivedView(SequenceOracle):
 
     Position k holds the return word between marker occurrences i_k and
     i_{k+1}, recoded through a fixed catalog; i_0 is the smallest occurrence
-    >= 0.  Occurrence lists grow lazily by scanning the base in chunks, so
-    the view stays exact for positions far beyond the construction window.
-    A window [lo, hi] reads the base once, over [i_lo, i_{hi+1}).
+    >= 0.  The occurrences sit in one list that grows at whichever end a read
+    needs, one chunk of the base at a time, so the view stays exact for
+    positions far beyond the construction window.  A window [lo, hi] reads
+    the base once, over [i_lo, i_{hi+1}).
     """
 
     def __init__(self, base: SequenceOracle, marker: int,
@@ -108,60 +109,38 @@ class DerivedView(SequenceOracle):
         self.base = base
         self.marker = marker
         self.catalog = dict(catalog)
-        self._right: list[int] = []   # i_0, i_1, ...
-        self._left: list[int] = []    # i_-1, i_-2, ...
-        self._hi_scanned = 0          # base positions [lo_scanned, hi_scanned) seen
-        self._lo_scanned = 0
+        self._occ: list[int] = []  # i_first, i_(first+1), ...: all occurrences scanned
+        self._first = 0
+        self._scanned = (0, 0)     # base positions [lo, hi) seen
         self.known_recurrent = is_recurrent(base)
 
     def recoding(self) -> Substitution:
         images = {sid: word for word, sid in self.catalog.items()}
         return Substitution(images, self.alphabet, self.base.alphabet)
 
-    def _scan_right(self) -> None:
-        lo = self._hi_scanned
-        hi = lo + _SCAN_CHUNK
-        seg = self.base.window(lo, hi - 1)
-        self._right.extend(lo + i for i, s in enumerate(seg) if s == self.marker)
-        self._hi_scanned = hi
-
-    def _scan_left(self) -> None:
-        hi = self._lo_scanned
-        lo = hi - _SCAN_CHUNK
-        seg = self.base.window(lo, hi - 1)
-        self._left.extend(
-            lo + i for i in range(len(seg) - 1, -1, -1) if seg[i] == self.marker
-        )
-        self._lo_scanned = lo
-
-    def occurrence(self, k: int) -> int:
-        """The k-th marker occurrence; k = 0 is the smallest one >= 0."""
-        if k >= 0:
-            while len(self._right) <= k:
-                if self._hi_scanned > _SCAN_CAP:
-                    raise GapError(
-                        f"no occurrence of marker in [{self._right[-1] if self._right else 0}, {self._hi_scanned})"
-                    )
-                self._scan_right()
-            return self._right[k]
-        while len(self._left) < -k:
-            if self._lo_scanned < -_SCAN_CAP:
-                raise GapError(
-                    f"no occurrence of marker in [{self._lo_scanned}, {self._left[-1] if self._left else 0})"
-                )
-            self._scan_left()
-        return self._left[-k - 1]
-
     @property
     def i0(self) -> int:
-        return self.occurrence(0)
+        return self.occurrences(0, 0)[0]
 
     def occurrences(self, lo: int, hi: int) -> list[int]:
-        """The marker occurrences i_lo, ..., i_hi."""
-        self.occurrence(lo)
-        self.occurrence(hi)
-        left = self._left[max(-hi - 1, 0):-lo][::-1] if lo < 0 else []  # i_lo .. i_min(hi, -1)
-        return left + (self._right[max(lo, 0):hi + 1] if hi >= 0 else [])
+        """The marker occurrences i_lo, ..., i_hi (lo <= hi)."""
+        occ = self._occ
+        while lo < self._first or hi >= self._first + len(occ):
+            left = lo < self._first
+            start, end = self._scanned
+            if (-start if left else end) > _SCAN_CAP:
+                raise GapError(f"marker {self.marker} lacks occurrences {lo}..{hi} "
+                               f"in the scanned base range [{start}, {end})")
+            a = start - _SCAN_CHUNK if left else end
+            seg = self.base.window(a, a + _SCAN_CHUNK - 1)
+            found = [a + i for i, s in enumerate(seg) if s == self.marker]
+            if left:
+                occ[:0] = found
+                self._first -= len(found)
+            else:
+                occ += found
+            self._scanned = (min(start, a), max(end, a + _SCAN_CHUNK))
+        return occ[lo - self._first:hi - self._first + 1]
 
     def _window(self, lo: int, hi: int) -> Word:
         occ = self.occurrences(lo, hi + 1)
@@ -415,25 +394,6 @@ def _classify_structural(pair: AsymptoticPair, window: tuple[int, int],
     )
 
 
-def _verify_alignment(pair: AsymptoticPair, rx: SequenceOracle, ry: SequenceOracle,
-                      m: int, window: tuple[int, int]) -> Optional[bool]:
-    """Which assignment of the rebuilt pair matches (x, y) after shifting by m?
-
-    Returns True when (x, y) = (sigma^m rx, sigma^m ry), False for the
-    swapped assignment, None when neither matches on the window.
-    """
-    lo, hi = window
-    xw = pair.x.window(lo, hi)
-    yw = pair.y.window(lo, hi)
-    rxw = rx.window(lo + m, hi + m)
-    ryw = ry.window(lo + m, hi + m)
-    if xw == rxw and yw == ryw:
-        return True
-    if xw == ryw and yw == rxw:
-        return False
-    return None
-
-
 def _witness_or_inconclusive(pair: AsymptoticPair, max_len: int, resource: str,
                              steps: Sequence[Substitution] = ()) -> ClassifyOutcome:
     """The bounded check's witness at max_len, carried back through the
@@ -561,8 +521,9 @@ def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
         return Inconclusive("rebuilt pair is trivial")
     # pair = sigma^m(resub) moves the difference set by -m
     m = min(resub.diff) - min(pair.diff)
-    assignment = _verify_alignment(pair, resub.x, resub.y, m, window)
-    if assignment is None:
+    # every step rebuilds x from x, so resub.x is the member that matches pair.x
+    if (pair.x.window(lo_w, hi_w) != resub.x.window(lo_w + m, hi_w + m)
+            or pair.y.window(lo_w, hi_w) != resub.y.window(lo_w + m, hi_w + m)):
         return Inconclusive("round-trip verification failed on the window")
 
     est_lo = max(lo_w, -256)
@@ -577,7 +538,7 @@ def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
         case="recurrent",
         phi=phi,
         m=m,
-        x_is_first=assignment,
+        x_is_first=True,
         base=SturmianBase(
             window_word=base_word,
             window=(est_lo, est_hi),

@@ -94,7 +94,8 @@ class Pattern:
 
 @dataclass(frozen=True)
 class AsymptoticPair:
-    """Two oracles plus their exact, certified difference set."""
+    """Two oracles plus their exact, certified difference set; construction
+    checks that the members differ exactly there on the set's hull."""
 
     x: SequenceOracle
     y: SequenceOracle
@@ -103,9 +104,8 @@ class AsymptoticPair:
     def __post_init__(self) -> None:
         if self.x.alphabet != self.y.alphabet:
             raise ValueError("pair members use different alphabets")
-        for n in self.diff:
-            if self.x.at(n) == self.y.at(n):
-                raise ValueError(f"position {n} in the difference set but symbols agree")
+        if self.diff and self.diff != window_difference(self.x, self.y, *self.span()):
+            raise ValueError(f"members do not differ exactly on {sorted(self.diff)} over its hull")
 
     @property
     def alphabet(self) -> Alphabet:

@@ -12,9 +12,11 @@ built on, so a read costs
 * slicing and tiling for an eventually periodic sequence,
 * one window of the base for a shift or a reversal,
 * for a substitution image, O(1) exact floors to find its first and last
-  block over a (possibly shifted) mechanical base, or a bisection in lazily
-  extended prefix sums over any other base, plus one window of the base over
-  those blocks.
+  block over a (possibly shifted) mechanical base, plus one window of the
+  base over those blocks; an image whose normal form is an image of a
+  mechanical word (nested, or over a reversed or relabelled mechanical word)
+  reads through that normal form at the same cost; over any other base, one
+  bisection in prefix sums that grow lazily at whichever end a read needs.
 
 Symbol reads use no cache.
 
@@ -30,12 +32,11 @@ top of this.
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional, Union
 
 from .slopes import (
@@ -320,8 +321,12 @@ class SubstImage(SequenceOracle):
     Over a mechanical base, possibly shifted, block starts have a closed
     form in one exact floor, and the block holding a position is found from
     an exact estimate and a few corrections, so a window costs O(1) exact
-    floors plus its length.  Over any other base the block starts are prefix
-    sums, extended lazily, at least doubling, by one ``base.window`` each time.
+    floors plus its length.  Any other image whose normal form is an image of
+    a mechanical word (nested images, images of reversed or relabelled
+    mechanical words) reads its windows through that normal form at the same
+    cost.  Over the remaining bases the block starts are prefix sums in one
+    list that grows at whichever end a read needs, at least doubling that
+    side of block 0, by one ``base.window`` each time.
     """
 
     def __init__(self, base: SequenceOracle, phi: Substitution, anchor: int = 0):
@@ -335,8 +340,8 @@ class SubstImage(SequenceOracle):
         mech, k = (base.base, base.k) if isinstance(base, Shift) else (base, 0)
         # closed form: (mechanical word, its offset k, height at k), else None
         self._mech = (mech, k, mech.height(k)) if isinstance(mech, Mechanical) else None
-        self._fwd = [anchor]   # block_start(0), block_start(1), ...
-        self._bwd = [anchor]   # block_start(0), block_start(-1), ...
+        self._starts = [anchor]  # block_start(first + j) for j = 0, 1, ...
+        self._first = 0
 
     def block_start(self, i: int) -> int:
         """Image position where the block of base symbol i begins."""
@@ -345,31 +350,22 @@ class SubstImage(SequenceOracle):
             mech, k, h0 = self._mech
             l0, l1 = self._lens
             return self.anchor + i * l0 + (l1 - l0) * (mech.height(k + i) - h0)
-        if i >= 0:
-            if len(self._fwd) <= i:
-                self._extend_right(i - len(self._fwd) + 1)
-            return self._fwd[i]
-        if len(self._bwd) <= -i:
-            self._extend_left(-i - len(self._bwd) + 1)
-        return self._bwd[-i]
+        if not self._first <= i < self._first + len(self._starts):
+            self._grow(i)
+        return self._starts[i - self._first]
 
-    def _extend_right(self, count: int) -> None:
-        """Cache the starts of at least ``count`` more blocks to the right."""
-        fwd, lens = self._fwd, self._lens
-        i, s = len(fwd) - 1, fwd[-1]  # block i is the first one of unknown length
-        count = max(count, i)  # doubling keeps lazy extension linear overall
-        for sym in self.base.window(i, i + count - 1):
-            s += lens[sym]
-            fwd.append(s)
-
-    def _extend_left(self, count: int) -> None:
-        """Cache the starts of at least ``count`` more blocks to the left."""
-        bwd, lens = self._bwd, self._lens
-        j, s = len(bwd), bwd[-1]  # block -j is the first one of unknown start
-        count = max(count, j - 1)
-        for sym in reversed(self.base.window(-j - count + 1, -j)):
-            s -= lens[sym]
-            bwd.append(s)
+    def _grow(self, i: int) -> None:
+        """Cache block_start(i) from one base window that at least doubles
+        the cached blocks on i's side of block 0 (so growth stays linear)."""
+        starts, first = self._starts, self._first
+        last = first + len(starts) - 1
+        lo, hi = (last, max(i, 2 * last)) if i > last else (min(i, 2 * first), first)
+        sums = list(accumulate((self._lens[s] for s in self.base.window(lo, hi - 1)), initial=0))
+        if i > last:
+            starts += [starts[-1] + t for t in sums[1:]]
+        else:
+            starts[:0] = [starts[0] - sums[-1] + t for t in sums[:-1]]
+            self._first = lo
 
     def _block_of(self, n: int) -> tuple[int, int, int]:
         """(i, block_start(i), block_start(i+1)) for the block i holding position n."""
@@ -383,21 +379,22 @@ class SubstImage(SequenceOracle):
             while end <= n:
                 i, start, end = i + 1, end, self.block_start(i + 2)
             return i, start, end
-        shortest = min(self._lens)  # blocks at least this long cover n in one read
-        if n >= self.anchor:
-            fwd = self._fwd
-            if fwd[-1] <= n:
-                self._extend_right((n - fwd[-1]) // shortest + 1)
-            i = bisect_right(fwd, n) - 1
-            return i, fwd[i], fwd[i + 1]
-        bwd = self._bwd
-        if bwd[-1] > n:
-            self._extend_left((bwd[-1] - n) // shortest + 1)
-        # bwd is strictly decreasing: the block is -j for the least j with bwd[j] <= n
-        j = bisect_left(bwd, -n, key=operator.neg)
-        return -j, bwd[j], bwd[j - 1]
+        starts, shortest = self._starts, min(self._lens)
+        # every block is at least `shortest` long, so one growth covers n
+        if n < starts[0]:
+            self._grow(self._first + (n - starts[0]) // shortest)
+        elif n >= starts[-1]:
+            self._grow(self._first + len(starts) + (n - starts[-1]) // shortest)
+        j = bisect_right(starts, n) - 1
+        return self._first + j, starts[j], starts[j + 1]
 
     def _window(self, lo: int, hi: int) -> Word:
+        if self._mech is None and mechanical_image(self.base) is not None:
+            # then the normal form comes from closed forms, and unless it is
+            # periodic (its oracle is self), it reads in closed form too
+            nf = normal_form(self)
+            if not isinstance(nf, NFEvp):
+                return nf.oracle.window(lo, hi)
         i, start, end = self._block_of(lo)
         j = i if hi < end else self._block_of(hi)[0]
         cut = lo - start

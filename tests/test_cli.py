@@ -204,6 +204,16 @@ def test_pair_outcomes_are_not_usage_errors(capsys):
         assert doc["reason"] == "substitution images under different substitutions"
 
 
+def test_far_shifted_pair_is_certified_without_a_radius(capsys):
+    # sigma^99 of (sigma lower, sigma upper), which differ at {-2, -1}
+    x, y = (f"shift({expr},100)" for expr in (GOLDEN_EXPR, GOLDEN_UPPER_EXPR))
+    code, doc = run_json(capsys, "check-indist", "--x", x, "--y", y, "--json")
+    assert code == 0 and doc["status"] == "pass" and doc["difference_set"] == [-101, -100]
+    code, doc = run_json(capsys, "classify", "--x", x, "--y", y, "--json")
+    assert code == 0 and doc["status"] == "classified" and doc["m"] == 99
+    assert run(capsys, "classify", "--x", x, "--y", y, "--radius", "64")[0] == 3
+
+
 def test_classify_remark_exit_1(capsys):
     code, doc = run_json(
         capsys, "classify",

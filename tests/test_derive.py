@@ -281,6 +281,17 @@ def _rebuild(out):
                  for b in (out.base.lower_oracle, out.base.upper_oracle))
 
 
+def test_classify_derived_pair_in_both_orders(golden_pair):
+    # the window path rebuilds x from x, so x comes first in either order
+    pair = derived_pair(shift_pair(golden_pair, -1), 0, (-120, 120))
+    for x, y in ((pair.x, pair.y), (pair.y, pair.x)):
+        out = classify(AsymptoticPair(x, y, pair.diff), window=(-30, 30), max_len=8)
+        assert isinstance(out, ClassificationResult) and isinstance(out.base, SturmianBase)
+        assert out.x_is_first
+        rx, ry = _rebuild(out)
+        assert rx.window(-30, 30) == x.window(-30, 30) and ry.window(-30, 30) == y.window(-30, 30)
+
+
 def _images(size, max_len):
     return st.lists(st.integers(0, size - 1), min_size=1, max_size=max_len).map(tuple)
 

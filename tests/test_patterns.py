@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sturmkit as sk
 from sturmkit.patterns import (
+    AsymptoticPair,
     Pattern,
     Verdict,
     certify_asymptotic,
@@ -66,6 +67,15 @@ def test_certify_errors():
         certify_asymptotic(
             shift(MechanicalLower(GOLDEN), 30), shift(MechanicalUpper(GOLDEN), 30), 5
         )  # differences exist but sit outside the radius
+
+
+def test_pair_rejects_a_difference_set_with_a_hole():
+    # the members differ at 0, 1 and 2; the listed positions alone agree with {0, 2}
+    x = EventuallyPeriodic.from_strings("0", "", "111", "0")
+    y = EventuallyPeriodic.from_strings("0", "", "000", "0")
+    with pytest.raises(ValueError, match="hull"):
+        AsymptoticPair(x, y, frozenset({0, 2}))
+    assert AsymptoticPair(x, y, frozenset({0, 1, 2})).diff == difference_set(x, y)
 
 
 def test_abc_discrepancy_is_zero(abc_pair):

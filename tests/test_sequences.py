@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sturmkit as sk
 from sturmkit.christoffel import limit_pair
-from sturmkit.derive import DerivedView, derived_sequence
+from sturmkit.derive import _SCAN_CAP, DerivedView, GapError, derived_sequence
+from sturmkit.language import ToeplitzLimit
 from sturmkit.sequences import (
     BINARY,
     EventuallyPeriodic,
@@ -36,6 +37,7 @@ from sturmkit.slopes import floor_mul_add, ceil_mul_add
 from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, one_minus, to_str
 
 TM = Substitution({0: (0, 1), 1: (1, 0)}, BINARY, BINARY)
+FIB = Substitution({0: (0, 1), 1: (0,)}, BINARY, BINARY)
 
 
 def evp(u, y, z, w):
@@ -437,6 +439,16 @@ def reference_derived(x, lo, hi):
             for k in range(lo, hi + 1)]
 
 
+def reference_toeplitz(x, n):
+    """(v + 1) mod 2 for the largest power 2^v dividing n; the free symbol at 0."""
+    if n == 0:
+        return x.origin_symbol
+    v = 0
+    while n % 2 == 0:
+        n, v = n // 2, v + 1
+    return (v + 1) % 2
+
+
 def reference_window(x, lo, hi):
     if isinstance(x, Mechanical):
         return reference_mechanical(x, lo, hi)
@@ -450,7 +462,20 @@ def reference_window(x, lo, hi):
         return reference_image(x, lo, hi)
     if isinstance(x, DerivedView):
         return reference_derived(x, lo, hi)
+    if isinstance(x, ToeplitzLimit):
+        return [reference_toeplitz(x, n) for n in range(lo, hi + 1)]
     raise TypeError(x)
+
+
+def reference_block_starts(x, radius=300):
+    """Block starts of an image for base indices -radius..radius, walked
+    outward from the anchor one image length at a time."""
+    symbols = reference_window(x.base, -radius, radius - 1)
+    walk = {0: x.anchor}
+    for i in range(radius):
+        walk[i + 1] = walk[i] + x.phi.image_len(symbols[radius + i])
+        walk[-i - 1] = walk[-i] - x.phi.image_len(symbols[radius - 1 - i])
+    return walk
 
 
 def small_fraction(draw, lo, hi):
@@ -540,6 +565,7 @@ def test_far_image_window_matches_reference():
                     Substitution({0: (1,), 1: (0, 1, 1, 0)}, BINARY, BINARY), -3), -10 ** 5),
         (SubstImage(shift(MechanicalUpper(Fraction(7, 19)), -4),
                     Substitution({0: (2, 1, 0, 0), 1: (1,)}, BINARY, three), 0), -2 * 10 ** 4 + 17),
+        (substitute(FIB, substitute(FIB, MechanicalLower(GOLDEN))), 10 ** 5),
     ]
     for x, lo in cases:
         word = x.window(lo, lo + 40)
@@ -560,17 +586,81 @@ def test_derived_view_window_matches_reference(base, marker, lo, length):
     assert view.at(lo) == word[0]
 
 
+def test_nested_image_reads_like_the_composed_image_far_out():
+    # both are anchored at 0, so they are the same sequence
+    x = substitute(FIB, substitute(FIB, MechanicalLower(GOLDEN)))
+    composed = substitute(FIB.compose(FIB), MechanicalLower(GOLDEN))
+    for lo in (10 ** 30, -10 ** 30):
+        assert x.window(lo, lo + 40) == composed.window(lo, lo + 40)
+
+
+# ---------------------------------------------------------------------------
+# lazily grown two-sided indexes: block starts of images over bases without a
+# closed form, and marker occurrences of derived views
+
+
+LAZY_IMAGE_BASES = st.one_of(evps(), binary_images(evps()), wrapped(binary_images(evps())),
+                             st.builds(ToeplitzLimit, st.integers(0, 1)))
+DERIVED_BASES = [MechanicalLower(GOLDEN), MechanicalUpper(SQRT2_HALF),
+                 substitute(TM, MechanicalLower(GOLDEN)), ToeplitzLimit(0),
+                 evp("01", "1", "0", "001")]
+
+
+@st.composite
+def lazy_oracles(draw):
+    """An image that grows its block starts lazily, or a derived view, which
+    grows its marker occurrences lazily."""
+    if draw(st.booleans()):
+        return derived_sequence(draw(st.sampled_from(DERIVED_BASES)), draw(st.integers(0, 1)),
+                                (-200, 200)).oracle
+    return draw(images(LAZY_IMAGE_BASES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lazy_oracles(),
+       st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(0, 700), st.integers(0, 30)),
+                min_size=2, max_size=6))
+def test_lazy_index_reads_in_any_order(x, reads):
+    # far left, far right or straddling the anchor, in the drawn order
+    anchor = getattr(x, "anchor", 0)
+    for side, far, length in reads:
+        lo = side * (300 + far) if side else anchor - length // 2 - 1
+        assert list(x.window(lo, lo + length)) == reference_window(x, lo, lo + length)
+
+
+@settings(max_examples=40, deadline=None)
+@given(images(LAZY_IMAGE_BASES), st.lists(st.integers(-300, 300), min_size=1, max_size=12))
+def test_lazy_block_starts_match_walk(x, indices):
+    walk = reference_block_starts(x)
+    assert [x.block_start(i) for i in indices] == [walk[i] for i in indices]
+
+
+def test_far_shifted_periodic_base_reads_locally():
+    # a read near 0 does not build the normal form, whose periodic parts
+    # begin near block -10^6
+    x = substitute(FIB, shift(evp("01", "", "1", "001"), 10 ** 6))
+    assert list(x.window(0, 40)) == reference_window(x, 0, 40)
+    assert x._normal_form is None
+
+
+def test_derived_view_scan_cap_on_each_side():
+    # marker 1 occurs only at -1: there is no i_0 and no i_-2
+    view = DerivedView(evp("0", "1", "", "0"), 1, {(1,): 0}, alphabet_of_size(1))
+    with pytest.raises(GapError):
+        view.occurrences(0, 0)
+    assert view.occurrences(-1, -1) == [-1]
+    with pytest.raises(GapError):
+        view.occurrences(-2, -1)
+    start, end = view._scanned
+    assert start < -_SCAN_CAP and end > _SCAN_CAP
+
+
 def test_block_start_closed_form_matches_walk():
     phi = Substitution({0: (0, 1, 0), 1: (1,)}, BINARY, BINARY)
     for base in (MechanicalLower(GOLDEN, Fraction(1, 3)), shift(MechanicalUpper(GOLDEN_COMPL), -7),
                  shift(MechanicalLower(Fraction(5, 13)), 4)):
         image = SubstImage(base, phi, 3)
-        symbols = reference_window(base, -300, 299)
-        walk = {0: 3}
-        for i in range(300):
-            walk[i + 1] = walk[i] + phi.image_len(symbols[300 + i])
-            walk[-i - 1] = walk[-i] - phi.image_len(symbols[299 - i])
-        assert all(image.block_start(i) == s for i, s in walk.items())
+        assert all(image.block_start(i) == s for i, s in reference_block_starts(image).items())
         # far out, consecutive starts still differ by the image length of the base symbol
         for i in (10 ** 50, -10 ** 50 + 3):
             blocks = [image.block_start(i + t) for t in range(6)]
@@ -616,10 +706,11 @@ def nested_images(draw):
 @settings(max_examples=80, deadline=None)
 @given(nested_images(), st.booleans(), st.integers(-30, 30), st.integers(0, 30))
 def test_nested_normal_form_reads_like_the_oracle(case, at_far, lo, length):
-    # x reads through lazy prefix sums; its normal form through one image of the base
+    # the normal form reads through one image of the base; the reference walks blocks
     x, far = case
     lo += far if at_far else 0
-    assert normal_form(x).oracle.window(lo, lo + length) == x.window(lo, lo + length)
+    word = reference_window(x, lo, lo + length)
+    assert list(normal_form(x).oracle.window(lo, lo + length)) == word == list(x.window(lo, lo + length))
 
 
 def test_normal_form_is_computed_once():
@@ -630,8 +721,7 @@ def test_normal_form_is_computed_once():
 
 def far_nested_pair(k):
     phi = Substitution({0: (0, 1, 1), 1: (1, 0)}, BINARY, BINARY)
-    fib = Substitution({0: (0, 1), 1: (0,)}, BINARY, BINARY)
-    return [substitute(phi, shift(substitute(fib, shift(cls(GOLDEN), 1)), k))
+    return [substitute(phi, shift(substitute(FIB, shift(cls(GOLDEN), 1)), k))
             for cls in (MechanicalLower, MechanicalUpper)]
 
 
@@ -649,11 +739,12 @@ def test_far_shifted_nested_images_difference_set():
 
 
 def test_far_shifted_nested_images_match_windows():
-    x, y = far_nested_pair(10 ** 6)
+    # the reference walks about 2.7 k blocks, so k stays at 10^5
+    x, y = far_nested_pair(10 ** 5)
     diff = difference_set(x, y)
     lo, hi = min(diff) - 50, max(diff) + 50
-    assert diff == {n for n, a, b in zip(range(lo, hi + 1), x.window(lo, hi), y.window(lo, hi))
-                    if a != b}
+    assert diff == {n for n, a, b in zip(range(lo, hi + 1), reference_window(x, lo, hi),
+                                         reference_window(y, lo, hi)) if a != b}
 
 
 # ---------------------------------------------------------------------------
