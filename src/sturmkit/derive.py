@@ -98,9 +98,10 @@ class DerivedView(SequenceOracle):
     Position k holds the return word between marker occurrences i_k and
     i_{k+1}, recoded through a fixed catalog; i_0 is the smallest occurrence
     >= 0.  The occurrences sit in one list that grows at whichever end a read
-    needs, one chunk of the base at a time, so the view stays exact for
-    positions far beyond the construction window.  A window [lo, hi] reads
-    the base once, over [i_lo, i_{hi+1}).
+    needs, by one chunk of the base to the right or by at least doubling the
+    scanned left side, so the view stays exact for positions far beyond the
+    construction window.  A window [lo, hi] reads the base once, over
+    [i_lo, i_{hi+1}).
     """
 
     def __init__(self, base: SequenceOracle, marker: int,
@@ -131,15 +132,15 @@ class DerivedView(SequenceOracle):
             if (-start if left else end) > _SCAN_CAP:
                 raise GapError(f"marker {self.marker} lacks occurrences {lo}..{hi} "
                                f"in the scanned base range [{start}, {end})")
-            a = start - _SCAN_CHUNK if left else end
-            seg = self.base.window(a, a + _SCAN_CHUNK - 1)
-            found = [a + i for i, s in enumerate(seg) if s == self.marker]
+            # a prepend copies the list, so a left scan doubles the left side
+            a, b = (start - max(_SCAN_CHUNK, -start), start) if left else (end, end + _SCAN_CHUNK)
+            found = [a + i for i, s in enumerate(self.base.window(a, b - 1)) if s == self.marker]
             if left:
                 occ[:0] = found
                 self._first -= len(found)
             else:
                 occ += found
-            self._scanned = (min(start, a), max(end, a + _SCAN_CHUNK))
+            self._scanned = (min(start, a), max(end, b))
         return occ[lo - self._first:hi - self._first + 1]
 
     def _window(self, lo: int, hi: int) -> Word:

@@ -12,11 +12,9 @@ built on, so a read costs
 * slicing and tiling for an eventually periodic sequence,
 * one window of the base for a shift or a reversal,
 * for a substitution image, O(1) exact floors to find its first and last
-  block over a (possibly shifted) mechanical base, plus one window of the
-  base over those blocks; an image whose normal form is an image of a
-  mechanical word (nested, or over a reversed or relabelled mechanical word)
-  reads through that normal form at the same cost; over any other base, one
-  bisection in prefix sums that grow lazily at whichever end a read needs.
+  block over a (possibly shifted) mechanical base, or one bisection in
+  prefix sums that grow lazily at whichever end a read needs over any other
+  base, plus one window of the base over those blocks.
 
 Symbol reads use no cache.
 
@@ -321,12 +319,9 @@ class SubstImage(SequenceOracle):
     Over a mechanical base, possibly shifted, block starts have a closed
     form in one exact floor, and the block holding a position is found from
     an exact estimate and a few corrections, so a window costs O(1) exact
-    floors plus its length.  Any other image whose normal form is an image of
-    a mechanical word (nested images, images of reversed or relabelled
-    mechanical words) reads its windows through that normal form at the same
-    cost.  Over the remaining bases the block starts are prefix sums in one
-    list that grows at whichever end a read needs, at least doubling that
-    side of block 0, by one ``base.window`` each time.
+    floors plus its length.  Over any other base the block starts are prefix
+    sums in one list that grows at whichever end a read needs, at least
+    doubling that side of block 0, by one ``base.window`` each time.
     """
 
     def __init__(self, base: SequenceOracle, phi: Substitution, anchor: int = 0):
@@ -389,12 +384,6 @@ class SubstImage(SequenceOracle):
         return self._first + j, starts[j], starts[j + 1]
 
     def _window(self, lo: int, hi: int) -> Word:
-        if self._mech is None and mechanical_image(self.base) is not None:
-            # then the normal form comes from closed forms, and unless it is
-            # periodic (its oracle is self), it reads in closed form too
-            nf = normal_form(self)
-            if not isinstance(nf, NFEvp):
-                return nf.oracle.window(lo, hi)
         i, start, end = self._block_of(lo)
         j = i if hi < end else self._block_of(hi)[0]
         cut = lo - start
