@@ -2,7 +2,8 @@
 
 Commands: generate, check-indist, classify, complexity, christoffel,
 limit-pair, derive.  Output is deterministic UTF-8 text or JSON (stable
-field names, schema_version 2); errors go to stderr.
+field names, schema_version 3; a pass or classification is ``certified``
+"all_lengths" or "up_to_max_len"); errors go to stderr.
 
 Exit codes: 0 pass/classified, 1 fail/not-of-form (witness on stdout) or
 not asymptotic, 2 inconclusive (including an uncertifiable pair), 3 argument
@@ -58,7 +59,7 @@ from .sequences import (
 from .slopes import format_slope, parse_slope
 from .words import Word
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -297,6 +298,9 @@ def _verdict_doc(verdict: Verdict, pair) -> dict:
     }
     if verdict.witness is not None:
         doc["witness"] = _word_str(pair.alphabet, verdict.witness)
+    else:
+        doc["certified"] = ("all_lengths" if derive_mod.certified_all_lengths(pair)
+                            else "up_to_max_len")
     return doc
 
 
@@ -349,6 +353,7 @@ def _classification_doc(outcome, alphabet: Alphabet) -> tuple[dict, str, int]:
         substitution=phi_doc,
         m=outcome.m,
         x_is_first=outcome.x_is_first,
+        certified="all_lengths" if outcome.verified_to is None else "up_to_max_len",
         verified_to=outcome.verified_to,
         verify_window=list(outcome.verify_window),
     )

@@ -4,8 +4,8 @@ indistinguishable asymptotic pairs.
 The normal forms of a recurrent pair in the closed oracle algebra show its
 decomposition: the members are images psi(lower(alpha)) and
 psi(upper(alpha)) of one irrational slope, and their anchors give the
-shift.  The rebuilt pair is proved equal to the input on all of Z, and the
-base has the exact slope.
+shift.  The rebuild is proved equal to the input on all of Z, which holds at
+every length and so comes before any bounded check; the slope is exact.
 
 Recurrent pairs of opaque oracles (derived views, Toeplitz limits) are
 peeled by derived sequences until the difference set fits in a two-position
@@ -31,6 +31,7 @@ from .christoffel import RationalLimitClass, _limit_class
 from .patterns import (
     AsymptoticPair,
     NotAsymptoticError,
+    UncertifiableError,
     check_indistinguishable,
     shift_pair,
     substitute_pair,
@@ -258,7 +259,7 @@ def substitution_preserves_check(phi: Substitution, pair: AsymptoticPair,
         raise ValueError(f"input pair fails at length {base.lengths_checked}")
     try:
         image = substitute_pair(phi, pair)
-    except (NotAsymptoticError, ValueError):
+    except (NotAsymptoticError, UncertifiableError):
         return False
     big_k = sum(phi.image_len(s) for s in pair.x.window(0, hi))
     if image.diff and not (0 <= min(image.diff) and max(image.diff) <= big_k - 1):
@@ -317,12 +318,13 @@ class NonRecurrentBase:
 
 @dataclass(frozen=True)
 class ClassificationResult:
+    """verified_to: None if proved on all of Z (every length), else the max_len checked."""
     case: str  # 'recurrent' | 'non_recurrent'
     phi: Substitution
     m: int
     x_is_first: bool  # pair.x matches sigma^m phi(sigma c) resp. sigma^m phi(^inf0.10^inf)
     base: Union[MechanicalBase, SturmianBase, NonRecurrentBase]
-    verified_to: int
+    verified_to: Optional[int]
     verify_window: tuple[int, int]
 
 
@@ -335,31 +337,47 @@ def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
              max_len: int = 20) -> ClassifyOutcome:
     """Decompose a non-trivial pair per the classification dichotomy.
 
-    Either produces a substitution phi, shift m and base pair that rebuild
-    (x, y), or a distinguishability witness (words up to max_len are
-    checked first), or an explicit inconclusive outcome naming the exhausted
-    resource.  A recurrent pair whose normal forms are images of the
-    characteristic mechanical pair gets a :class:`MechanicalBase` with the
-    exact slope, and the rebuild is certified equal to the input on all of
-    Z; any other recurrent pair gets a :class:`SturmianBase` from derived
-    sequences, verified pointwise on the window.
+    Either produces a substitution phi, shift m and base pair that rebuild (x, y),
+    or a distinguishability witness, or an explicit inconclusive outcome naming the
+    exhausted resource.  Structural certificates come first: a pair rebuilt from its
+    normal forms as sigma^m psi(sigma lower(alpha), sigma upper(alpha)) (with a
+    :class:`MechanicalBase` of exact slope) or sigma^m phi(^inf0.10^inf,
+    ^inf0.010^inf) is proved equal to the input on all of Z, hence indistinguishable
+    at every length by the theorem, whose hypotheses hold: psi and phi are
+    non-erasing (``Substitution`` rejects empty images), psi is non-commuting (a
+    commuting psi has a periodic normal form) and alpha is irrational (``NFMech``
+    holds irrational slopes only).  Other pairs are checked up to max_len, then a
+    recurrent one gets a :class:`SturmianBase` from derived sequences.
     """
     if pair.is_trivial:
         raise ValueError("classification requires a non-trivial pair")
+    recurrent = is_recurrent(pair.x)
+    if recurrent is False:
+        return _classify_non_recurrent(pair, window, max_len)
+    if recurrent and (structural := _classify_structural(pair, window)):
+        return structural
     verdict = check_indistinguishable(pair, max_len)
     if not verdict.passed:
         return NotIndistinguishable(verdict.witness)
-    recurrent = is_recurrent(pair.x)
     if recurrent is None:
         return Inconclusive("recurrence undecidable for this oracle class")
+    return _classify_recurrent(pair, window, max_len)
+
+
+def certified_all_lengths(pair: AsymptoticPair) -> bool:
+    """Is the pair trivial or rebuilt exactly from its normal forms, as in
+    :func:`classify`, hence indistinguishable at every length?  Runs no check."""
+    if pair.is_trivial:
+        return True
+    recurrent = is_recurrent(pair.x)
     if recurrent:
-        return (_classify_structural(pair, window, max_len)
-                or _classify_recurrent(pair, window, max_len))
-    return _classify_non_recurrent(pair, window, max_len)
+        return _classify_structural(pair, (0, 0)) is not None
+    return recurrent is False and isinstance(
+        _classify_non_recurrent(pair, (0, 0), None), ClassificationResult)
 
 
-def _classify_structural(pair: AsymptoticPair, window: tuple[int, int],
-                         max_len: int) -> Optional[ClassificationResult]:
+def _classify_structural(pair: AsymptoticPair,
+                         window: tuple[int, int]) -> Optional[ClassificationResult]:
     """Read (psi, alpha, m) off the normal forms, or None when they do not
     show psi(lower(alpha)) and psi(upper(alpha)) with equal images.
 
@@ -390,17 +408,17 @@ def _classify_structural(pair: AsymptoticPair, window: tuple[int, int],
         m=m,
         x_is_first=True,
         base=MechanicalBase(base.alpha),
-        verified_to=max_len,
+        verified_to=None,
         verify_window=window,
     )
 
 
-def _witness_or_inconclusive(pair: AsymptoticPair, max_len: int, resource: str,
+def _witness_or_inconclusive(pair: AsymptoticPair, lengths: Sequence[int], resource: str,
                              steps: Sequence[Substitution] = ()) -> ClassifyOutcome:
-    """The bounded check's witness at max_len, carried back through the
-    derivation steps that produced ``pair``, else Inconclusive(resource)."""
-    verdict = check_indistinguishable(pair, max_len)
-    if verdict.passed:
+    """The witness at the first failing length in ``lengths``, carried back through
+    the derivation steps that produced ``pair``, else Inconclusive(resource)."""
+    verdict = next((v for n in lengths if not (v := check_indistinguishable(pair, n)).passed), None)
+    if verdict is None:
         return Inconclusive(resource)
     witness = verdict.witness
     for phi in reversed(steps):
@@ -409,14 +427,16 @@ def _witness_or_inconclusive(pair: AsymptoticPair, max_len: int, resource: str,
 
 
 def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
-                            max_len: int) -> ClassifyOutcome:
+                            max_len: Optional[int]) -> ClassifyOutcome:
+    """sigma^m phi(^inf0.10^inf, ^inf0.010^inf), phi non-erasing: |w| = |s| >= 1, |v| >= 1.
+    Else the check at max_len, then deeper for a witness (neither if max_len is None)."""
     lo_f, hi_f = pair.span()
     s = shift_relation(pair.x, pair.y)
     shift_s = abs(s or 0)
     k = max(hi_f - lo_f + 1, shift_s + 1)
-    deep = max(max_len, 2 * (k + shift_s) + 4)
+    lengths = () if max_len is None else sorted({max_len, max(max_len, 2 * (k + shift_s) + 4)})
     if s is None:
-        return _witness_or_inconclusive(pair, deep, "members are not shown to be shifts of one another")
+        return _witness_or_inconclusive(pair, lengths, "members are not shown to be shifts of one another")
     x, y = (pair.x, pair.y) if s > 0 else (pair.y, pair.x)
 
     xp = shift(x, lo_f)
@@ -429,7 +449,7 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     # and spells u[off:] + u[:off]: w is that conjugate of u
     off = next(iter(occurrences(w, u + u)), None)
     if off is None:
-        return _witness_or_inconclusive(pair, deep, "conjugacy construction failed without a witness")
+        return _witness_or_inconclusive(pair, lengths, "conjugacy construction failed without a witness")
     v = xp.window(0, k - shift_s - 1)
     phi = Substitution({0: w, 1: v + u[:off]}, BINARY, pair.alphabet)
 
@@ -437,7 +457,7 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     rx, ry = (shift(substitute(phi, EventuallyPeriodic.from_strings("0", "", z, "0")), -lo_f)
               for z in ("10", "010"))
     if not (oracles_equal(x, rx) and oracles_equal(y, ry)):
-        return _witness_or_inconclusive(pair, deep, "rebuilt pair does not match the input")
+        return _witness_or_inconclusive(pair, lengths, "rebuilt pair does not match the input")
 
     # the limit classification wants the member reading 10 on {-1, 0} first
     rational = None
@@ -452,7 +472,7 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
         m=-lo_f,
         x_is_first=s > 0,
         base=NonRecurrentBase(rational),
-        verified_to=max_len,
+        verified_to=None,
         verify_window=window,
     )
 
@@ -468,7 +488,7 @@ def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
         lo, hi = cur.span()
         k = hi - lo + 1
         if k == 1:
-            return _witness_or_inconclusive(cur, 2, "difference set degenerated to one position", steps)
+            return _witness_or_inconclusive(cur, (2,), "difference set degenerated to one position", steps)
         if k == 2:
             break
         shifted = shift_pair(cur, lo)
@@ -500,7 +520,7 @@ def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     base2 = shift_pair(cur, lo + 1)
     a_sym, b_sym = base2.x.at(-1), base2.x.at(0)
     if (base2.y.at(-1), base2.y.at(0)) != (b_sym, a_sym) or a_sym == b_sym:
-        return _witness_or_inconclusive(base2, 2, "base pair is not a two-letter exchange", steps)
+        return _witness_or_inconclusive(base2, (2,), "base pair is not a two-letter exchange", steps)
 
     alpha_bet = base2.alphabet
     relabel = Substitution({1: (a_sym,), 0: (b_sym,)}, BINARY, alpha_bet)

@@ -5,9 +5,10 @@ from jsonschema import validate
 
 from sturmkit import derive
 from sturmkit.christoffel import christoffel
-from sturmkit.cli import _classification_doc, main, parse_oracle
+from sturmkit.cli import _classification_doc, _verdict_doc, main, parse_oracle
 from sturmkit.derive import derived_pair
-from sturmkit.patterns import certify_asymptotic, shift_pair
+from sturmkit.language import toeplitz_thue_morse_pair
+from sturmkit.patterns import certify_asymptotic, check_indistinguishable, shift_pair
 from sturmkit.slopes import QuadraticIrrational, parse_slope
 
 from conftest import to_str
@@ -15,11 +16,13 @@ from conftest import to_str
 GOLDEN_EXPR = "lower((-1+1*sqrt(5))/2)"
 GOLDEN_UPPER_EXPR = "upper((-1+1*sqrt(5))/2)"
 
+CERTIFIED = {"enum": ["all_lengths", "up_to_max_len"]}
+
 BASE_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "command"],
     "properties": {
-        "schema_version": {"const": 2},
+        "schema_version": {"const": 3},
         "command": {"type": "string"},
     },
 }
@@ -43,10 +46,17 @@ SCHEMAS = {
             "difference_set": {"type": "array", "items": {"type": "integer"}},
             "witness": {"type": "string"},
             "reason": {"type": "string"},
+            "certified": CERTIFIED,
         },
         "if": {"properties": {"status": {"enum": ["pass", "fail"]}}},
         "then": {"required": ["lengths_checked", "difference_set"]},
         "else": {"required": ["reason"]},
+        "oneOf": [
+            {"properties": {"status": {"const": "pass"}}, "required": ["certified"],
+             "not": {"required": ["witness"]}},
+            {"properties": {"status": {"not": {"const": "pass"}}},
+             "not": {"required": ["certified"]}},
+        ],
     },
     "classify": {
         "allOf": [BASE_SCHEMA],
@@ -60,6 +70,8 @@ SCHEMAS = {
             "m": {"type": "integer"},
             "witness": {"type": "string"},
             "resource": {"type": "string"},
+            "certified": CERTIFIED,
+            "verified_to": {"type": ["integer", "null"]},
             "base": {"oneOf": [
                 {
                     "type": "object",
@@ -93,6 +105,17 @@ SCHEMAS = {
                 },
             ]},
         },
+        "if": {"properties": {"status": {"const": "classified"}}},
+        "then": {
+            "required": ["certified", "verified_to"],
+            "oneOf": [
+                {"properties": {"certified": {"const": "all_lengths"},
+                                "verified_to": {"type": "null"}}},
+                {"properties": {"certified": {"const": "up_to_max_len"},
+                                "verified_to": {"type": "integer"}}},
+            ],
+        },
+        "else": {"not": {"required": ["certified"]}},
     },
     "complexity": {
         "allOf": [BASE_SCHEMA],
@@ -174,7 +197,7 @@ def test_check_indist_exit_codes(capsys):
         capsys, "check-indist", "--x", GOLDEN_EXPR, "--y", GOLDEN_UPPER_EXPR,
         "--max-len", "15", "--json",
     )
-    assert code == 0 and doc["status"] == "pass"
+    assert code == 0 and doc["status"] == "pass" and doc["certified"] == "all_lengths"
     code, doc = run_json(
         capsys, "check-indist",
         "--x", "evp(100110|100111.|000111)", "--y", "evp(100110|.100111|000111)",
@@ -209,8 +232,10 @@ def test_far_shifted_pair_is_certified_without_a_radius(capsys):
     x, y = (f"shift({expr},100)" for expr in (GOLDEN_EXPR, GOLDEN_UPPER_EXPR))
     code, doc = run_json(capsys, "check-indist", "--x", x, "--y", y, "--json")
     assert code == 0 and doc["status"] == "pass" and doc["difference_set"] == [-101, -100]
+    assert doc["certified"] == "all_lengths"
     code, doc = run_json(capsys, "classify", "--x", x, "--y", y, "--json")
     assert code == 0 and doc["status"] == "classified" and doc["m"] == 99
+    assert doc["certified"] == "all_lengths" and doc["verified_to"] is None
     assert run(capsys, "classify", "--x", x, "--y", y, "--radius", "64")[0] == 3
 
 
@@ -222,6 +247,15 @@ def test_classify_remark_exit_1(capsys):
     )
     assert code == 1 and doc["status"] == "not_indistinguishable"
     assert doc["witness"] == "00"
+
+
+def test_classify_non_recurrent_failure_keeps_its_shortest_witness(capsys):
+    # no shift relates the members: the pair is checked at max_len, then deeper
+    code, doc = run_json(
+        capsys, "classify", "--x", "evp(0|.010000|01)", "--y", "evp(0|.100000|01)", "--json",
+    )
+    assert code == 1 and doc["status"] == "not_indistinguishable"
+    assert doc["witness"] == "0000000"
 
 
 def test_classify_limit_pair(capsys):
@@ -279,6 +313,24 @@ def test_classify_window_base_schema():
     doc, _, code = _classification_doc(outcome, pair.alphabet)
     validate(doc, SCHEMAS["classify"])
     assert code == 0 and doc["base"]["kind"] == "sturmian"
+    assert doc["certified"] == "up_to_max_len" and doc["verified_to"] == 8
+    # check-indist on the same opaque pair passes up to its max_len only
+    doc = _verdict_doc(check_indistinguishable(pair, 8), pair)
+    validate(doc, SCHEMAS["check-indist"])
+    assert doc["status"] == "pass" and doc["certified"] == "up_to_max_len"
+
+
+def test_check_indist_certificates():
+    # the characteristic golden pair is rebuilt from its normal forms
+    golden = certify_asymptotic(parse_oracle(GOLDEN_EXPR), parse_oracle(GOLDEN_UPPER_EXPR), 4)
+    doc = _verdict_doc(check_indistinguishable(golden, 12), golden)
+    validate(doc, SCHEMAS["check-indist"])
+    assert doc["status"] == "pass" and doc["certified"] == "all_lengths"
+    # the Toeplitz pair is outside the closed algebra and keeps its witness
+    toeplitz = toeplitz_thue_morse_pair()
+    doc = _verdict_doc(check_indistinguishable(toeplitz, 16), toeplitz)
+    validate(doc, SCHEMAS["check-indist"])
+    assert doc["status"] == "fail" and doc["witness"] == "00" and "certified" not in doc
 
 
 def test_complexity(capsys):

@@ -11,9 +11,12 @@ from sturmkit.derive import (
     ClassificationResult,
     Inconclusive,
     MechanicalBase,
+    NonRecurrentBase,
     NotIndistinguishable,
     SturmianBase,
+    _classify_non_recurrent,
     _classify_recurrent,
+    _classify_structural,
     classify,
     derived_pair,
     derived_sequence,
@@ -157,6 +160,27 @@ def test_substitution_preserves_abc(golden_pair):
     abc = sk.Alphabet(("a", "b", "c"))
     phi = Substitution({0: (0, 1), 1: (2,)}, BINARY, abc)
     assert substitution_preserves_check(phi, moved, 15)
+
+
+@pytest.mark.parametrize("error, propagates", [
+    (ValueError("members differ outside the hull"), True),
+    (sk.UncertifiableError("no certificate"), False),
+    (sk.NotAsymptoticError("tails disagree"), False),
+])
+def test_substitution_preserves_check_surfaces_plain_errors(golden_pair, monkeypatch,
+                                                            error, propagates):
+    # a bare ValueError from building the image is a fault, not a "no"
+    def fail(phi, pair):
+        raise error
+
+    monkeypatch.setattr("sturmkit.derive.substitute_pair", fail)
+    moved = shift_pair(golden_pair, -1)
+    ident = Substitution({0: (0,), 1: (1,)}, BINARY, BINARY)
+    if propagates:
+        with pytest.raises(ValueError, match="outside the hull"):
+            substitution_preserves_check(ident, moved, 12)
+    else:
+        assert substitution_preserves_check(ident, moved, 12) is False
 
 
 def test_substitution_length_law(golden_pair):
@@ -359,3 +383,91 @@ def test_structural_classification_matches_derived_views(construction):
         assert slow.phi.images == out.phi.images and slow.m == out.m
         assert slow.base.window_word == out.base.lower_oracle.window(*slow.base.window)
         assert out.base.slope.compare_fraction(low) >= 0 >= out.base.slope.compare_fraction(high)
+
+
+@settings(max_examples=20, deadline=None)
+@given(recurrent_constructions())
+def test_structural_recurrent_pairs_pass_long_checks(construction):
+    """The "if" direction: a pair rebuilt from its normal forms is
+    indistinguishable at every length, so it passes the bounded engine far
+    beyond any max_len that classify would have checked."""
+    x, y, _ = construction
+    pair = certify_asymptotic(x, y, 200)
+    out = classify(pair, window=(-40, 40), max_len=8)
+    assert isinstance(out.base, MechanicalBase) and out.verified_to is None
+    assert check_indistinguishable(pair, 300).passed
+
+
+@st.composite
+def non_recurrent_constructions(draw):
+    """sigma^m0 phi(^inf0.10^inf, ^inf0.010^inf) for a non-commuting phi onto
+    2-4 letters, with the members possibly swapped."""
+    size = draw(st.integers(2, 4))
+    images = (draw(_images(size, 4)), draw(_images(size, 4)))
+    assume(images[0] + images[1] != images[1] + images[0])
+    phi = Substitution(dict(enumerate(images)), BINARY, alphabet_of_size(size))
+    m0 = draw(st.integers(-6, 6))
+    x, y = (shift(substitute(phi, EventuallyPeriodic.from_strings("0", "", z, "0")), m0)
+            for z in ("10", "010"))
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=20, deadline=None)
+@given(non_recurrent_constructions())
+def test_structural_non_recurrent_pairs_pass_long_checks(construction):
+    pair = certify_asymptotic(*construction, 200)
+    out = classify(pair, window=(-40, 40), max_len=8)
+    assert isinstance(out, ClassificationResult) and out.case == "non_recurrent"
+    assert out.verified_to is None
+    assert check_indistinguishable(pair, 300).passed
+
+
+def _classify_check_first(pair, window, max_len):
+    """classify in its former order: the bounded check at max_len ran before
+    any structural rebuild."""
+    verdict = check_indistinguishable(pair, max_len)
+    if not verdict.passed:
+        return NotIndistinguishable(verdict.witness)
+    recurrent = is_recurrent(pair.x)
+    if recurrent is None:
+        return Inconclusive("recurrence undecidable for this oracle class")
+    if recurrent:
+        return (_classify_structural(pair, window)
+                or _classify_recurrent(pair, window, max_len))
+    return _classify_non_recurrent(pair, window, max_len)
+
+
+def _outcome_key(out):
+    if isinstance(out, ClassificationResult):  # window bases hold fresh oracles
+        base = out.base if isinstance(out.base, NonRecurrentBase) else type(out.base)
+        return out.case, out.phi.images, out.m, out.x_is_first, base, out.verified_to
+    return out
+
+
+@st.composite
+def eventually_periodic_pairs(draw):
+    """Two eventually periodic words on 2-3 letters with common periodic
+    tails, the second possibly the first with its pad cut elsewhere (a shift
+    when the cut moves by a common multiple of the periods)."""
+    size = draw(st.integers(2, 3))
+    alphabet = alphabet_of_size(size)
+    u, w = draw(_images(size, 3)), draw(_images(size, 3))
+    pads = [draw(st.lists(st.integers(0, size - 1), max_size=8).map(tuple)) for _ in range(2)]
+    if draw(st.booleans()):
+        pads[1] = pads[0]
+    cuts = [draw(st.integers(0, len(pad))) for pad in pads]
+    return tuple(EventuallyPeriodic(u, pad[:cut], pad[cut:], w, alphabet)
+                 for pad, cut in zip(pads, cuts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eventually_periodic_pairs(), st.sampled_from([3, 6, 10, 20]))
+def test_structural_first_keeps_the_check_first_outcome(members, max_len):
+    try:
+        pair = certify_asymptotic(*members, 40)
+    except sk.NotAsymptoticError:
+        assume(False)
+    assume(not pair.is_trivial)
+    window = (-30, 30)
+    assert _outcome_key(classify(pair, window, max_len)) == \
+        _outcome_key(_classify_check_first(pair, window, max_len))
