@@ -2,12 +2,12 @@
 
 Commands: generate, check-indist, classify, complexity, christoffel,
 limit-pair, derive.  Output is deterministic UTF-8 text or JSON (stable
-field names, schema_version 3; a pass or classification is ``certified``
+field names, schema_version 4; a pass or classification is ``certified``
 "all_lengths" or "up_to_max_len"); errors go to stderr.
 
 Exit codes: 0 pass/classified, 1 fail/not-of-form (witness on stdout) or
-not asymptotic, 2 inconclusive (including an uncertifiable pair), 3 argument
-or expression error.
+not asymptotic, 2 inconclusive (including an uncertifiable pair and a
+derivation gap), 3 argument or expression error.
 
 Oracle expression grammar::
 
@@ -59,7 +59,7 @@ from .sequences import (
 from .slopes import format_slope, parse_slope
 from .words import Word
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -308,6 +308,13 @@ _PAIR_OUTCOMES = {NotAsymptoticError: ("not_asymptotic", EXIT_FAIL),
                   UncertifiableError: ("inconclusive", EXIT_INCONCLUSIVE)}
 
 
+def _report(args, command: str, status: str, reason: str) -> None:
+    """Emit a mathematical outcome that ends the command: its status and why."""
+    doc = {"schema_version": SCHEMA_VERSION, "command": command,
+           "status": status, "reason": reason}
+    _emit(doc, args.json, f"{status}: {reason}")
+
+
 def _certify_or_report(args, command: str):
     """(pair, None) for a certified pair, else (None, exit code) after
     emitting why the pair is not asymptotic or cannot be certified."""
@@ -316,9 +323,7 @@ def _certify_or_report(args, command: str):
         return AsymptoticPair(x, y, difference_set(x, y)), None
     except (NotAsymptoticError, UncertifiableError) as exc:
         (status, code), reason = _PAIR_OUTCOMES[type(exc)], str(exc)
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "status": status, "reason": reason}
-    _emit(doc, args.json, f"{status}: {reason}")
+    _report(args, command, status, reason)
     return None, code
 
 
@@ -446,7 +451,14 @@ def cmd_derive(args) -> int:
     x = parse_oracle(args.x)
     lo, hi = _parse_window(args.window)
     marker_word = x.alphabet.word_from_str(args.marker)
-    rws = derive_mod.return_words(x, marker_word, (lo, hi))
+    try:
+        rws = derive_mod.return_words(x, marker_word, (lo, hi))
+        if len(marker_word) == 1:
+            ds = derive_mod.derived_sequence(x, marker_word[0], (lo, hi))
+            derived_word = ds.oracle.window(0, max(1, (hi - lo) // 8) - 1)
+    except derive_mod.GapError as exc:
+        _report(args, "derive", "inconclusive", str(exc))
+        return EXIT_INCONCLUSIVE
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "derive",
@@ -462,9 +474,6 @@ def cmd_derive(args) -> int:
         "complete: " + " ".join(doc["complete_return_words"]),
     ]
     if len(marker_word) == 1:
-        ds = derive_mod.derived_sequence(x, marker_word[0], (lo, hi))
-        span = max(1, (hi - lo) // 8)
-        derived_word = ds.oracle.window(0, span - 1)
         doc["derived_window"] = _word_str(ds.oracle.alphabet, derived_word)
         doc["recoding"] = {
             ds.oracle.alphabet.glyph(s): _word_str(x.alphabet, im)

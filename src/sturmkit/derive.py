@@ -63,7 +63,8 @@ _SCAN_CAP = 1_000_000
 
 
 class GapError(ValueError):
-    """The marker failed to reappear within the scanning budget."""
+    """The marker or its return words are missing where a derivation needs
+    them: in the window, in the scanning budget or in the frozen catalog."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def return_words(x: SequenceOracle, w: Word, window: tuple[int, int]) -> ReturnW
     text = x.window(lo, hi)
     occ = [lo + i for i in occurrences(w, text)]
     if len(occ) < 2:
-        raise ValueError(f"marker occurs {len(occ)} time(s) in window {window}")
+        raise GapError(f"marker occurs {len(occ)} time(s) in window {window}")
     rets, crets = set(), set()
     for a, b in zip(occ, occ[1:]):
         rets.add(text[a - lo:b - lo])
@@ -153,7 +154,7 @@ class DerivedView(SequenceOracle):
             word = text[a - first:b - first]
             sid = self.catalog.get(word)
             if sid is None:
-                raise ValueError(
+                raise GapError(
                     f"return word {word} not in the catalog; rebuild with a larger window"
                 )
             out.append(sid)
@@ -172,13 +173,14 @@ class DerivedSequence:
     i0: int
 
 
-def _collect_catalog(views: list[tuple[SequenceOracle, int]], marker: int,
-                     window: tuple[int, int]) -> list[Word]:
-    """Return words of all sequences, ordered by first occurrence from each
-    anchor: derived positions 0, 1, 2, ... then -1, -2, ... per sequence."""
+def _derived_views(bases: Sequence[SequenceOracle], marker: int,
+                   window: tuple[int, int]) -> list[DerivedView]:
+    """Views of the bases at ``marker`` over one catalog of their return
+    words, ordered by first occurrence from each anchor: derived positions
+    0, 1, 2, ... then -1, -2, ... per base."""
     lo, hi = window
-    catalog: list[Word] = []
-    for base, _ in views:
+    catalog: dict[Word, int] = {}
+    for base in bases:
         text = base.window(lo, hi)
         occ = [lo + i for i, s in enumerate(text) if s == marker]
         nonneg = [i for i in occ if i >= 0]
@@ -192,9 +194,9 @@ def _collect_catalog(views: list[tuple[SequenceOracle, int]], marker: int,
         leftward = [nonneg[0]] + list(reversed(neg))
         ordered += [text[a - lo:b - lo] for b, a in zip(leftward, leftward[1:])]
         for word in ordered:
-            if word not in catalog:
-                catalog.append(word)
-    return catalog
+            catalog.setdefault(word, len(catalog))
+    alphabet = alphabet_of_size(len(catalog))
+    return [DerivedView(base, marker, catalog, alphabet) for base in bases]
 
 
 def derived_sequence(x: SequenceOracle, a: int, window: tuple[int, int]) -> DerivedSequence:
@@ -203,9 +205,7 @@ def derived_sequence(x: SequenceOracle, a: int, window: tuple[int, int]) -> Deri
     Applying the recoding to the derived oracle and shifting by -i_0
     recovers x; the catalog of return words is frozen from the window.
     """
-    catalog_words = _collect_catalog([(x, a)], a, window)
-    alphabet = alphabet_of_size(len(catalog_words))
-    view = DerivedView(x, a, {w: i for i, w in enumerate(catalog_words)}, alphabet)
+    view, = _derived_views((x,), a, window)
     return DerivedSequence(x, (a,), view, view.recoding(), view.i0)
 
 
@@ -216,31 +216,18 @@ def derived_pair(pair: AsymptoticPair, a: int, window: tuple[int, int]) -> Asymp
     marker counts across it on both sides; the derived difference set then
     lies within [-1, N_a - 1] and is computed by direct block comparison.
     """
-    if pair.is_trivial:
-        catalog_words = _collect_catalog([(pair.x, a), (pair.y, a)], a, window)
-        alphabet = alphabet_of_size(len(catalog_words))
-        catalog = {w: i for i, w in enumerate(catalog_words)}
-        return AsymptoticPair(
-            DerivedView(pair.x, a, catalog, alphabet),
-            DerivedView(pair.y, a, catalog, alphabet),
-            frozenset(),
-        )
-    lo, hi = pair.span()
-    if lo < 0:
-        raise ValueError("shift the pair so its difference set starts at 0")
-    xs = pair.x.window(0, hi)
-    ys = pair.y.window(0, hi)
-    n_a = sum(1 for s in xs if s == a)
-    if n_a != sum(1 for s in ys if s == a):
-        raise NotAsymptoticError(
-            f"marker {a} occurs {n_a} vs {sum(1 for s in ys if s == a)} times across the difference interval"
-        )
-    catalog_words = _collect_catalog([(pair.x, a), (pair.y, a)], a, window)
-    alphabet = alphabet_of_size(len(catalog_words))
-    catalog = {w: i for i, w in enumerate(catalog_words)}
-    dx = DerivedView(pair.x, a, catalog, alphabet)
-    dy = DerivedView(pair.y, a, catalog, alphabet)
-    return AsymptoticPair(dx, dy, window_difference(dx, dy, -1, max(n_a, 1) - 1))
+    if not pair.is_trivial:
+        lo, hi = pair.span()
+        if lo < 0:
+            raise ValueError("shift the pair so its difference set starts at 0")
+        n_a, n_b = (m.window(0, hi).count(a) for m in (pair.x, pair.y))
+        if n_a != n_b:
+            raise NotAsymptoticError(
+                f"marker {a} occurs {n_a} vs {n_b} times across the difference interval"
+            )
+    dx, dy = _derived_views((pair.x, pair.y), a, window)
+    diff = frozenset() if pair.is_trivial else window_difference(dx, dy, -1, max(n_a, 1) - 1)
+    return AsymptoticPair(dx, dy, diff)
 
 
 def substitution_preserves_check(phi: Substitution, pair: AsymptoticPair,
@@ -499,7 +486,7 @@ def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
         for a in sorted(counts, key=lambda s: (counts[s], s)):
             try:
                 nxt = derived_pair(shifted, a, work_window)
-            except (GapError, ValueError, NotAsymptoticError) as exc:
+            except (GapError, NotAsymptoticError) as exc:
                 log.debug("marker %s rejected: %s", a, exc)
                 continue
             if nxt.is_trivial:

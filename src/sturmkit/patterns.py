@@ -21,6 +21,7 @@ from .sequences import (
     Substitution,
     UncertifiableError,
     difference_set,
+    oracles_equal,
     reverse,
     shift,
     substitute,
@@ -95,7 +96,8 @@ class Pattern:
 @dataclass(frozen=True)
 class AsymptoticPair:
     """Two oracles plus their exact, certified difference set; construction
-    checks that the members differ exactly there on the set's hull."""
+    checks that the members differ exactly there on the set's hull, and that
+    members given no difference set are equal wherever normal forms decide it."""
 
     x: SequenceOracle
     y: SequenceOracle
@@ -104,7 +106,14 @@ class AsymptoticPair:
     def __post_init__(self) -> None:
         if self.x.alphabet != self.y.alphabet:
             raise ValueError("pair members use different alphabets")
-        if self.diff and self.diff != window_difference(self.x, self.y, *self.span()):
+        if self.diff:
+            exact = self.diff == window_difference(self.x, self.y, *self.span())
+        else:
+            try:
+                exact = oracles_equal(self.x, self.y)
+            except UncertifiableError:
+                exact = True  # opaque members, such as derived views, have only window reads
+        if not exact:
             raise ValueError(f"members do not differ exactly on {sorted(self.diff)} over its hull")
 
     @property

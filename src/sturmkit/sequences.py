@@ -482,7 +482,9 @@ class NFSubst:
     """Substitution image of an irrational mechanical word or an opaque oracle.
 
     A mechanical base sits at offset 0, so the anchor is where the block of
-    the mechanical word's symbol 0 begins.
+    the mechanical word's symbol 0 begins.  Of the conjugates of phi that
+    spell the same sequence, the one kept has images that do not all end
+    with one letter.
     """
 
     phi: Substitution
@@ -569,7 +571,7 @@ def _normalize(x: SequenceOracle) -> NormalForm:
             rev_phi = nf.phi.reversed_images()
             if isinstance(nf.base, NFMech):
                 return _subst_over_mech(rev_phi, _reverse_mech(nf.base), anchor, x)
-            return NFSubst(rev_phi, NFOpaque(Reversal(nf.base.oracle)), anchor)
+            return _collapse_or_keep(NFSubst(rev_phi, NFOpaque(Reversal(nf.base.oracle)), anchor), x)
         return NFOpaque(x)
 
     if isinstance(x, SubstImage):
@@ -647,7 +649,8 @@ def mechanical_image(x: SequenceOracle) -> Optional[NFSubst]:
 
 
 def _collapse_or_keep(nf: NFSubst, x: SequenceOracle) -> NormalForm:
-    """Collapse images of mechanical bases that are secretly periodic or mechanical."""
+    """Collapse images of mechanical bases that are secretly periodic or
+    mechanical; bring any other image to one conjugate of its substitution."""
     root = _common_root_collapse(nf.phi)
     if root is not None:
         # every block is a power of the same primitive word: the image is the
@@ -663,7 +666,16 @@ def _collapse_or_keep(nf: NFSubst, x: SequenceOracle) -> NormalForm:
             mech = nf.base if im0 == 0 else swap_base(nf.phi, nf.base)[1]
             # an identity relabel of the base, possibly its complement: a shift
             return NFMech(mech.kind, mech.alpha, mech.rho, mech.offset - nf.anchor)
-    return nf
+    # while every image ends with one letter c, the conjugate c psi c^-1 spells
+    # the same sequence with each block one position to the left; images that
+    # agree so |psi(0)| + |psi(1)| times commute (Fine-Wilf) and have collapsed
+    images, anchor = nf.phi.images, nf.anchor
+    while len({im[-1] for im in images.values()}) == 1:
+        images = {s: im[-1:] + im[:-1] for s, im in images.items()}
+        anchor -= 1
+    if anchor == nf.anchor:
+        return nf
+    return NFSubst(Substitution(images, nf.phi.domain, nf.phi.codomain), nf.base, anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ BASE_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "command"],
     "properties": {
-        "schema_version": {"const": 3},
+        "schema_version": {"const": 4},
         "command": {"type": "string"},
     },
 }
@@ -138,7 +138,12 @@ SCHEMAS = {
     },
     "derive": {
         "allOf": [BASE_SCHEMA],
-        "required": ["marker", "return_words", "complete_return_words"],
+        "if": {"required": ["status"]},
+        "then": {
+            "required": ["reason"],
+            "properties": {"status": {"const": "inconclusive"}, "reason": {"type": "string"}},
+        },
+        "else": {"required": ["marker", "return_words", "complete_return_words"]},
     },
 }
 
@@ -216,15 +221,39 @@ def test_pair_outcomes_are_not_usage_errors(capsys):
         assert doc["reason"] == "eventually periodic vs aperiodic mechanical word"
     code, out, err = run(capsys, "check-indist", "--x", "lower(1/2)", "--y", GOLDEN_EXPR)
     assert code == 1 and out.startswith("not_asymptotic:") and not err
-    # images under different substitutions: no certificate either way
+    # 0->10, 1->0 is a conjugate of 0->01, 1->0: the second member is the
+    # first shifted by one, so the two differ at infinitely many positions
     for command in ("check-indist", "classify"):
         code, doc = run_json(
             capsys, command,
             "--x", f"sub(0:01;1:0,{GOLDEN_EXPR})", "--y", f"sub(0:10;1:0,{GOLDEN_EXPR})",
             "--json",
         )
+        assert code == 1 and doc["status"] == "not_asymptotic"
+        assert doc["reason"] == "misaligned images of the same aperiodic word"
+    # images under substitutions that are not conjugate: no certificate either way
+    for command in ("check-indist", "classify"):
+        code, doc = run_json(
+            capsys, command,
+            "--x", f"sub(0:01;1:0,{GOLDEN_EXPR})", "--y", f"sub(0:001;1:0,{GOLDEN_EXPR})",
+            "--json",
+        )
         assert code == 2 and doc["status"] == "inconclusive"
         assert doc["reason"] == "substitution images under different substitutions"
+
+
+def test_images_under_conjugate_substitutions_certify(capsys):
+    # 0->10, 1->0 is 0^-1 (0->01, 1->0) 0, so the second member is the image
+    # of sigma upper under 0->01, 1->0 and the pair is certified on all of Z
+    x = f"sub(0:01;1:0,shift({GOLDEN_EXPR},1))"
+    y = f"shift(sub(0:10;1:0,shift({GOLDEN_UPPER_EXPR},1)),-1)"
+    code, doc = run_json(capsys, "check-indist", "--x", x, "--y", y, "--json")
+    assert code == 0 and doc["status"] == "pass" and doc["certified"] == "all_lengths"
+    assert doc["difference_set"] == [-2, -1]
+    code, doc = run_json(capsys, "classify", "--x", x, "--y", y, "--json")
+    assert code == 0 and doc["certified"] == "all_lengths" and doc["m"] == 0
+    assert doc["substitution"] == {"0": "01", "1": "0"}
+    assert doc["base"] == {"kind": "mechanical", "slope": "(-1+1*sqrt(5))/2"}
 
 
 def test_far_shifted_pair_is_certified_without_a_radius(capsys):
@@ -363,6 +392,20 @@ def test_derive_cmd(capsys):
     )
     assert code == 0
     assert doc["return_words"] == ["01", "011"]
+
+
+def test_derive_gaps_are_inconclusive(capsys):
+    # too few markers for a return word, and markers on one side of the origin only
+    for expr, window, reason in (
+        ("evp(0|.|0)", "-10:10", "marker occurs 0 time(s) in window (-10, 10)"),
+        (GOLDEN_EXPR, "0:40", "marker 1 does not straddle the origin in window (0, 40)"),
+    ):
+        code, doc = run_json(capsys, "derive", "--x", expr, "--marker", "1",
+                             f"--window={window}", "--json")
+        assert code == 2 and doc == {"schema_version": 4, "command": "derive",
+                                     "status": "inconclusive", "reason": reason}
+        code, out, err = run(capsys, "derive", "--x", expr, "--marker", "1", f"--window={window}")
+        assert code == 2 and out == f"inconclusive: {reason}\n" and not err
 
 
 def test_usage_errors(capsys):

@@ -9,6 +9,7 @@ import sturmkit as sk
 from sturmkit.christoffel import RationalLimitClass, limit_pair
 from sturmkit.derive import (
     ClassificationResult,
+    GapError,
     Inconclusive,
     MechanicalBase,
     NonRecurrentBase,
@@ -31,6 +32,7 @@ from sturmkit.patterns import (
     check_indistinguishable,
     discrepancy,
     shift_pair,
+    substitute_pair,
 )
 from sturmkit.sequences import (
     BINARY,
@@ -62,6 +64,17 @@ def test_return_words_golden():
     # below 1/2 (complementary slope) they are 0 and 01
     rws2 = return_words(MechanicalLower(GOLDEN_COMPL), to_word("0"), (-30, 30))
     assert rws2.returns == frozenset({to_word("0"), to_word("01")})
+
+
+def test_derivation_gaps_are_gap_errors():
+    # too few markers in the window, and a return word the frozen catalog lacks
+    x = EventuallyPeriodic.from_strings("0", "", "10", "0")
+    with pytest.raises(GapError, match="occurs 0 time"):
+        return_words(x, to_word("1"), (5, 30))
+    ds = derived_sequence(EventuallyPeriodic.from_strings("01", "", "0101", "001"), 1, (-4, 4))
+    assert ds.recoding.images == {0: to_word("10")}  # 100 returns from position 3 on
+    with pytest.raises(GapError, match="not in the catalog"):
+        ds.oracle.window(0, 20)
 
 
 def test_return_words_overlapping_marker():
@@ -181,6 +194,33 @@ def test_substitution_preserves_check_surfaces_plain_errors(golden_pair, monkeyp
             substitution_preserves_check(ident, moved, 12)
     else:
         assert substitution_preserves_check(ident, moved, 12) is False
+
+
+@pytest.mark.parametrize("error, propagates", [
+    (ValueError("members differ outside the hull"), True),
+    (GapError("marker 0 does not straddle the origin"), False),
+    (sk.NotAsymptoticError("marker counts differ"), False),
+])
+def test_classify_surfaces_plain_errors_from_derivation(golden_pair, monkeypatch,
+                                                        error, propagates):
+    # a derived golden pair with difference interval [-1, 1] needs one more
+    # round; a gap or a count mismatch rejects a marker, a bare ValueError is a fault
+    psi = Substitution({0: (1, 0, 0), 1: (0, 0)}, BINARY, BINARY)
+    image = substitute_pair(psi, shift_pair(golden_pair, -1))
+    pair = derived_pair(shift_pair(image, min(image.diff)), 0, (-120, 120))
+    assert pair.span() == (-1, 1)
+    assert isinstance(classify(pair, window=(-30, 30), max_len=8).base, SturmianBase)
+
+    def fail(pair, a, window):
+        raise error
+
+    monkeypatch.setattr("sturmkit.derive.derived_pair", fail)
+    if propagates:
+        with pytest.raises(ValueError, match="outside the hull"):
+            classify(pair, window=(-30, 30), max_len=8)
+    else:
+        out = classify(pair, window=(-30, 30), max_len=8)
+        assert out == Inconclusive("no marker symbol shrinks the difference interval")
 
 
 def test_substitution_length_law(golden_pair):

@@ -32,6 +32,8 @@ from sturmkit.sequences import (
     substitute,
 )
 
+from sturmkit.language import ToeplitzLimit
+
 from conftest import GOLDEN, SQRT2_HALF, to_str, to_word
 
 ABC = Alphabet(("a", "b", "c"))
@@ -60,7 +62,6 @@ def test_certify_examples(golden_pair):
 def test_certify_errors():
     with pytest.raises(sk.NotAsymptoticError):
         certify_asymptotic(MechanicalLower(GOLDEN), MechanicalLower(SQRT2_HALF), 5)
-    from sturmkit.language import ToeplitzLimit
     with pytest.raises(sk.UncertifiableError):
         certify_asymptotic(ToeplitzLimit(0), ToeplitzLimit(1), 5)
     with pytest.raises(ValueError):
@@ -76,6 +77,19 @@ def test_pair_rejects_a_difference_set_with_a_hole():
     with pytest.raises(ValueError, match="hull"):
         AsymptoticPair(x, y, frozenset({0, 2}))
     assert AsymptoticPair(x, y, frozenset({0, 1, 2})).diff == difference_set(x, y)
+
+
+def test_pair_checks_an_empty_difference_set(golden_pair):
+    with pytest.raises(ValueError, match="hull"):
+        AsymptoticPair(golden_pair.x, golden_pair.y, frozenset())
+    # psi = 0->100, 1->00 over sigma lower/upper golden: the images differ at -5 and -3
+    psi = Substitution({0: (1, 0, 0), 1: (0, 0)}, BINARY, BINARY)
+    x, y = (substitute(psi, shift(cls(GOLDEN), 1)) for cls in (MechanicalLower, MechanicalUpper))
+    with pytest.raises(ValueError, match="hull"):
+        AsymptoticPair(x, y, frozenset())
+    assert AsymptoticPair(x, substitute(psi, shift(MechanicalLower(GOLDEN), 1)), frozenset()).is_trivial
+    # members without a normal form are taken as given
+    assert AsymptoticPair(ToeplitzLimit(0), ToeplitzLimit(0), frozenset()).is_trivial
 
 
 def test_abc_discrepancy_is_zero(abc_pair):
@@ -196,6 +210,24 @@ def test_engine_matches_brute_force(pair):
     for max_len in range(1, 13):
         assert check_indistinguishable(pair, max_len) == reference_check(pair, max_len)
         assert ns_norm_lower_bound(pair, max_len) == reference_norm(pair, max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(evp_pairs_differing_on_pads(), substituted_sturmian_pairs()),
+       st.integers(1, 11), st.integers(1, 11))
+def test_discrepancy_is_monotone_in_length(pair, a, b):
+    """For |u| = L - 1, sum_c Delta(uc) = Delta(u): a pass at L2 is a pass at
+    every L1 < L2, and a first failure at L1 is the same failure at L2."""
+    l1, l2 = min(a, b), max(a, b) + 1
+    for length in range(2, l2 + 1):
+        longer = reference_word_discrepancies(pair, length)
+        for u, d in reference_word_discrepancies(pair, length - 1).items():
+            assert sum(e for w, e in longer.items() if w[:-1] == u) == d
+    short, long = check_indistinguishable(pair, l1), check_indistinguishable(pair, l2)
+    if long.passed:
+        assert short.passed
+    if not short.passed:
+        assert (long.witness, long.lengths_checked) == (short.witness, short.lengths_checked)
 
 
 def brute_norm(pair, max_support):

@@ -25,6 +25,7 @@ from sturmkit.sequences import (
     normal_form,
     NFEvp,
     NFMech,
+    NFSubst,
     oracles_equal,
     render_window,
     reverse,
@@ -280,6 +281,41 @@ def test_images_of_complementary_words_in_mixed_orientation():
     assert y.window(-200, 200) == substitute(psi, shift(MechanicalLower(GOLDEN), 1)).window(-200, 200)
     assert difference_set(x, y) == frozenset({-5, -4, -3, -1})
     assert difference_set(x, y) == {n for n in range(-200, 201) if x.at(n) != y.at(n)}
+
+
+CONJUGATE_BASES = (shift(MechanicalLower(GOLDEN), 1), MechanicalUpper(SQRT2_HALF),
+                   reverse(MechanicalLower(GOLDEN)), ToeplitzLimit(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=3).map(tuple),
+       st.lists(st.integers(0, 2), max_size=3).map(tuple),
+       st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+       st.sampled_from(CONJUGATE_BASES), st.integers(-4, 4))
+def test_conjugate_images_share_one_normal_form(u0, u1, v, base, s):
+    """(0 -> u0 v, 1 -> u1 v) and its conjugate (0 -> v u0, 1 -> v u1) spell
+    one sequence |v| positions apart; both writings normalize to the one
+    conjugate whose images do not all end with one letter."""
+    three = alphabet_of_size(3)
+    psi = Substitution({0: u0 + v, 1: u1 + v}, BINARY, three)
+    conj = Substitution({0: v + u0, 1: v + u1}, BINARY, three)
+    x = shift(substitute(psi, base), s)
+    y = shift(substitute(conj, base), s + len(v))
+    assert x.window(-30, 30) == y.window(-30, 30)
+    assert oracles_equal(x, y)
+    nx, ny = normal_form(x), normal_form(y)
+    if isinstance(nx, NFSubst):
+        assert (nx.phi.image_key(), nx.anchor) == (ny.phi.image_key(), ny.anchor)
+        assert len({im[-1] for im in nx.phi.images.values()}) == 2
+        assert nx.oracle.window(-30, 30) == x.window(-30, 30)
+
+
+def test_reversed_image_over_an_opaque_base_takes_the_kept_conjugate():
+    # the reversed images 001, 01 share the last letter, and so do 100, 10
+    x = reverse(substitute(Substitution({0: (1, 0, 0), 1: (1, 0)}, BINARY, BINARY), ToeplitzLimit(0)))
+    nf = normal_form(x)
+    assert isinstance(nf, NFSubst) and nf.phi.images == {0: (0, 1, 0), 1: (0, 1)}
+    assert nf.oracle.window(-40, 40) == x.window(-40, 40)
 
 
 def test_oracles_equal_through_constructions():
