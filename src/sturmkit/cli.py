@@ -277,6 +277,9 @@ def cmd_generate(args) -> int:
         print(staircase(word))
         return EXIT_PASS
     rendered = render_word(word, x.alphabet, lo)
+    if args.format == "text":
+        print(rendered)
+        return EXIT_PASS
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "generate",
@@ -284,7 +287,7 @@ def cmd_generate(args) -> int:
         "symbols": _word_str(x.alphabet, word),
         "rendered": rendered,
     }
-    _emit(doc, args.format == "json", rendered)
+    print(json.dumps(doc, sort_keys=True))
     return EXIT_PASS
 
 

@@ -8,7 +8,8 @@ and substitution images.  Every oracle answers ``window(lo, hi)`` and
 primitive read: each oracle builds its window from one window of what it is
 built on, so a read costs
 
-* O(hi - lo) integer operations for a mechanical word,
+* O(log(hi - lo)) exact floors plus O(hi - lo) byte operations for a
+  mechanical word,
 * slicing and tiling for an eventually periodic sequence,
 * one window of the base for a shift or a reversal,
 * for a substitution image, O(1) exact floors to find its first and last
@@ -40,6 +41,7 @@ from typing import Optional, Union
 from .slopes import (
     QuadraticIrrational,
     Slope,
+    _sign_a_plus_b_sqrt,
     ceil_mul_add,
     check_slope,
     floor_mul_add,
@@ -59,6 +61,7 @@ class Alphabet:
     def __post_init__(self) -> None:
         if len(set(self.glyphs)) != len(self.glyphs):
             raise ValueError("duplicate glyphs")
+        object.__setattr__(self, "_table", dict(enumerate(self.glyphs)))  # for str.translate
 
     @property
     def size(self) -> int:
@@ -74,7 +77,9 @@ class Alphabet:
         return tuple(self.index(ch) for ch in text)
 
     def word_to_str(self, word: Word) -> str:
-        return "".join(map(self.glyphs.__getitem__, word))
+        if self.size > 256:  # symbols past one byte
+            return "".join(map(self.glyphs.__getitem__, word))
+        return bytes(word).decode("latin-1").translate(self._table)
 
 
 BINARY = Alphabet(("0", "1"))
@@ -190,10 +195,10 @@ class SequenceOracle:
 class Mechanical(SequenceOracle):
     """Mechanical word of slope alpha in [0, 1] and intercept rho, binary alphabet.
 
-    A window of length L costs O(L) integer operations at any position
-    (:func:`slopes.floor_steps`): a remainder carried modulo the denominator
-    for a rational slope, fixed-point carries checked against one exact floor
-    for a quadratic one.
+    A window of length L costs O(log L) exact floors plus O(L) byte
+    operations at any position, for either slope kind
+    (:func:`slopes.floor_steps`, which desubstitutes the window along the
+    Gauss map); an upper window is a lower one read backwards.
     """
 
     kind: str  # 'lower' | 'upper'
@@ -714,8 +719,37 @@ def _mech_difference(nx: NFMech, ny: NFMech) -> frozenset[int]:
     return frozenset({-1 - nx.offset, -nx.offset})
 
 
+def _frequencies_differ(phi: Substitution, psi: Substitution, alpha: QuadraticIrrational) -> bool:
+    """Whether some letter is not equally frequent in phi(s) and psi(s), s a
+    mechanical word of slope alpha.  In phi(s) letter c has frequency
+    (|phi(0)|_c (1 - alpha) + |phi(1)|_c alpha) / (|phi(0)| (1 - alpha) + |phi(1)| alpha);
+    two such ratios differ by the sign of P + Q alpha + R alpha^2, decided exactly."""
+    letters = range(max(phi.codomain.size, psi.codomain.size))
+
+    def forms(images: dict[int, Word]) -> list[tuple[int, int]]:
+        """(u, v) with |images[0]|_c (1 - alpha) + |images[1]|_c alpha = u + v alpha, per letter c."""
+        w0, w1 = images[0], images[1]
+        return [(w0.count(e), w1.count(e) - w0.count(e)) for e in letters]
+
+    fx, fy = forms(phi.images), forms(psi.images)
+    Ux, Vx = map(sum, zip(*fx))  # the image lengths, counted over all letters
+    Uy, Vy = map(sum, zip(*fy))
+    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    for (ux, vx), (uy, vy) in zip(fx, fy):
+        # (ux + vx alpha)(Uy + Vy alpha) - (uy + vy alpha)(Ux + Vx alpha), times c^2
+        P, Q, R = ux * Uy - uy * Ux, ux * Vy + vx * Uy - uy * Vx - vy * Ux, vx * Vy - vy * Vx
+        if _sign_a_plus_b_sqrt(P * c * c + Q * a * c + R * (a * a + b * b * d),
+                               Q * b * c + 2 * R * a * b, d):
+            return True
+    return False
+
+
 def _subst_difference(nx: NFSubst, ny: NFSubst) -> frozenset[int]:
     if nx.phi.image_key() != ny.phi.image_key():
+        if (isinstance(nx.base, NFMech) and isinstance(ny.base, NFMech)
+                and nx.base.alpha == ny.base.alpha
+                and _frequencies_differ(nx.phi, ny.phi, nx.base.alpha)):
+            raise NotAsymptoticError("images with different letter frequencies")
         raise UncertifiableError("substitution images under different substitutions")
     base_diff = _nf_difference(nx.base, ny.base)
     if not base_diff:

@@ -3,7 +3,7 @@
 A slope is either a ``fractions.Fraction`` or a :class:`QuadraticIrrational`
 ``(a + b*sqrt(d)) / c``.  Every floor/ceil decision reduces to integer
 comparisons (via ``math.isqrt``), so no symbol of a mechanical word ever
-depends on floating point.
+depends on floating point, nor does a window read along the Gauss map.
 """
 
 from __future__ import annotations
@@ -147,69 +147,80 @@ def ceil_mul_add(alpha: Slope, n: int, rho: Fraction = Fraction(0)) -> int:
     return -_floor_quadratic(-A, -B, alpha.c * q, alpha.d)
 
 
-_FIXED_BITS = 128  # any window fits far below 2^127 symbols
+def _fraction_part(r: int, s: int, t: int, d: int) -> tuple[int, int, int]:
+    """(r + s*sqrt(d))/t mod 1, in lowest terms (t > 0)."""
+    r -= _floor_quadratic(r, s, t, d) * t
+    g = math.gcd(r, s, t)
+    return r // g, s // g, t // g
 
 
-@lru_cache(maxsize=64)
-def _fixed_point(alpha: QuadraticIrrational) -> int:
-    """floor(alpha * 2^_FIXED_BITS), the per-step increment of floor_steps."""
-    return _floor_quadratic(alpha.a << _FIXED_BITS, alpha.b << _FIXED_BITS, alpha.c, alpha.d)
+@lru_cache(maxsize=256)  # the Gauss-map orbits of the slopes in use
+def _gauss(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """floor(1/alpha) and {1/alpha} = (A + B*sqrt(d))/C as (k, A, B, C), for
+    alpha = (a + b*sqrt(d))/c > 0."""
+    # c / (a + b sqrt d) = c*(a - b sqrt d) / (a^2 - b^2 d)
+    A, B, C = c * a, -c * b, a * a - b * b * d
+    if C < 0:
+        A, B, C = -A, -B, -C
+    return (_floor_quadratic(A, B, C, d), *_fraction_part(A, B, C, d))
+
+
+def _lower_bytes(n: int, a: int, b: int, c: int, r: int, s: int, t: int, d: int,
+                 zero: bytes, one: bytes) -> bytes:
+    """Steps 0..n-1 of lower(alpha, rho), spelled with the bytes zero and one,
+    for alpha = (a + b*sqrt(d))/c in [0, 1] and rho = (r + s*sqrt(d))/t in
+    [0, 1), c, t > 0: a desubstitution along the Gauss map.
+
+    For alpha <= 1/2 with k = floor(1/alpha), the symbol at m lies in block
+    floor(alpha*m + rho), and block j, which starts at ceil((j - rho)/alpha),
+    reads tau_k(upper({1/alpha}, -rho/alpha)_j) with tau_k: 0 -> 0^(k-1)1,
+    1 -> 0^k1.  For alpha > 1/2 the word is the complement of
+    upper(1 - alpha, -rho).  Upper words are mirrored lower words, and each
+    intercept is brought back into [0, 1), so every level reads a window that
+    starts at 0; a tau_k level at least halves it, down to slope 0 (all
+    zeros) or a handful of symbols read by direct floors.  Every intercept
+    stays in Q(sqrt(d)), so every symbol is decided by exact floors.
+    """
+    if a == 0 and b == 0:
+        return zero * n
+    if n <= 8:
+        # floor(alpha*m + rho) for m = 1..n, from 0 at m = 0
+        at, bt, ct, rc, sc = a * t, b * t, c * t, r * c, s * c
+        f = [0] + [_floor_quadratic(at * m + rc, bt * m + sc, ct, d) for m in range(1, n + 1)]
+        return b"".join([one if f[m + 1] > f[m] else zero for m in range(n)])
+    if _sign_a_plus_b_sqrt(2 * a - c, 2 * b, d) > 0:
+        # lower(alpha, rho)_m = 1 - lower(1 - alpha, rho - (1 - alpha)*n)_(n-1-m)
+        a, b = c - a, -b
+        r, s, t = _fraction_part(r * c - t * a * n, s * c - t * b * n, t * c, d)
+        return _lower_bytes(n, a, b, c, r, s, t, d, one, zero)[::-1]
+    last = _floor_quadratic(a * (n - 1) * t + r * c, b * (n - 1) * t + s * c, c * t, d)
+    k, a, b, c = _gauss(a, b, c, d)
+    # rho/alpha = rho*(k + beta) = (p + q*sqrt(d))/u for beta = {1/alpha} =
+    # (a + b*sqrt(d))/c, and block 0 starts at ceil(-rho/alpha) = -head
+    ka = a + k * c
+    p, q, u = r * ka + s * b * d, r * b + s * ka, t * c
+    head = _floor_quadratic(p, q, u, d)
+    # blocks 0..last read upper(beta, -rho/alpha), which is
+    # lower(beta, rho/alpha - beta*(last + 1)) read backwards; spelled with
+    # the other pair of bytes, it expands by tau_k in two passes
+    r, s, t = _fraction_part(p - t * (last + 1) * a, q - t * (last + 1) * b, u, d)
+    z, o = (b"\x02", b"\x03") if zero < b"\x02" else (b"\x00", b"\x01")
+    base = _lower_bytes(last + 1, a, b, c, r, s, t, d, z, o)[::-1]
+    return base.replace(z, zero * (k - 1) + one).replace(o, zero * k + one)[head:head + n]
 
 
 def floor_steps(alpha: Slope, lo: int, hi: int, rho: Fraction = Fraction(0)) -> tuple[int, ...]:
-    """The steps floor(alpha*(n+1) + rho) - floor(alpha*n + rho) for n = lo..hi.
-
-    Each step is 0 or 1 because 0 <= alpha <= 1, so a run costs O(hi - lo)
-    integer operations.  A rational slope p/q carries the remainder of the
-    numerator modulo the common denominator through one period of q steps,
-    which then repeats.  A quadratic slope is followed in fixed point with
-    K = 128 fractional bits from one exact floor at lo: the running value
-    under-estimates (alpha*n + rho)*2^K by less than 1 + (n - lo), so its
-    integer part is exact unless the fraction sits that close to a carry;
-    there, which practically never happens, the value is re-anchored with one
-    exact floor.
-    """
-    count = hi - lo + 1
-    if count <= 0:
-        return ()
-    r, t = rho.numerator, rho.denominator
-    if not isinstance(alpha, QuadraticIrrational):
-        # floor(alpha*n + rho) = (p*t*n + r*q) // (q*t)
-        p, q = alpha.numerator, alpha.denominator
-        den, inc = q * t, p * t
-        rem = (inc * lo + r * q) % den
-        period = []
-        for _ in range(min(q, count)):
-            rem += inc
-            if rem >= den:
-                rem -= den
-                period.append(1)
-            else:
-                period.append(0)
-        return tuple((period * (count // q + 1))[:count])
-    # (alpha*n + rho) * 2^K = (A + B*sqrt(d)) / (c*t) with A = (a*t*n + r*c) << K, B = (b*t*n) << K
-    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
-    bits, ct = _FIXED_BITS, c * t
-    one = 1 << bits
-
-    def anchor(n: int) -> tuple[int, int]:
-        """floor(alpha*n + rho) and the fractional part in fixed point, both exact."""
-        return divmod(_floor_quadratic((a * t * n + r * c) << bits, (b * t * n) << bits, ct, d), one)
-
-    step = _fixed_point(alpha)
-    limit = one - 1 - count  # below this the carry of the running value is exact
-    whole, frac = anchor(lo)
-    prev, out = whole, []
-    for n in range(lo + 1, hi + 2):
-        frac += step
-        if frac >= one:
-            frac -= one
-            whole += 1
-        if frac > limit:
-            whole, frac = anchor(n)
-        out.append(whole - prev)
-        prev = whole
-    return tuple(out)
+    """The steps floor(alpha*(n+1) + rho) - floor(alpha*n + rho), each 0 or 1,
+    for n = lo..hi: O(log(hi - lo)) exact floors plus O(hi - lo) byte
+    operations at any position and for either slope kind (``_lower_bytes``)."""
+    if isinstance(alpha, QuadraticIrrational):
+        a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    else:
+        a, b, c, d = alpha.numerator, 0, alpha.denominator, 0
+    # lower(alpha, rho) on [lo, hi] is lower(alpha, {rho + alpha*lo}) on [0, hi - lo]
+    q = rho.denominator
+    r, s, t = _fraction_part(a * lo * q + rho.numerator * c, b * lo * q, c * q, d)
+    return tuple(_lower_bytes(hi - lo + 1, a, b, c, r, s, t, d, b"\x00", b"\x01"))
 
 
 def floor_ratio(m: int, u: int, v: int, alpha: Slope) -> int:
@@ -239,19 +250,13 @@ def continued_fraction(alpha: Slope, k: int) -> list[int]:
             out.append(a)
             p, q = q, r
         return out
-    # iterate x -> 1/(x - floor(x)) on exact (A + B*sqrt(d)) / C states
+    # the Gauss map x -> {1/x} on exact (A + B*sqrt(d)) / C states
     A, B, C, d = alpha.a, alpha.b, alpha.c, alpha.d
-    out = []
-    for _ in range(k):
-        a = _floor_quadratic(A, B, C, d)
+    out = [_floor_quadratic(A, B, C, d)]
+    A -= out[0] * C
+    while len(out) < k:
+        a, A, B, C = _gauss(A, B, C, d)
         out.append(a)
-        A -= a * C
-        # invert: C / (A + B sqrt d) = C*(A - B sqrt d) / (A^2 - B^2 d)
-        A, B, C = C * A, -C * B, A * A - B * B * d
-        if C < 0:
-            A, B, C = -A, -B, -C
-        g = math.gcd(math.gcd(abs(A), abs(B)), C)
-        A, B, C = A // g, B // g, C // g
     return out
 
 

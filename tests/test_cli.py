@@ -231,11 +231,22 @@ def test_pair_outcomes_are_not_usage_errors(capsys):
         )
         assert code == 1 and doc["status"] == "not_asymptotic"
         assert doc["reason"] == "misaligned images of the same aperiodic word"
-    # images under substitutions that are not conjugate: no certificate either way
+    # images under substitutions that are not conjugate: 0 has frequency
+    # 1/(2 - alpha) in the first and (2 - alpha)/(3 - 2 alpha) in the second member
     for command in ("check-indist", "classify"):
         code, doc = run_json(
             capsys, command,
             "--x", f"sub(0:01;1:0,{GOLDEN_EXPR})", "--y", f"sub(0:001;1:0,{GOLDEN_EXPR})",
+            "--json",
+        )
+        assert code == 1 and doc["status"] == "not_asymptotic"
+        assert doc["reason"] == "images with different letter frequencies"
+    # equal letter frequencies (1/2 each) under substitutions that are not
+    # conjugate: no certificate either way
+    for command in ("check-indist", "classify"):
+        code, doc = run_json(
+            capsys, command,
+            "--x", f"sub(0:0011;1:01,{GOLDEN_EXPR})", "--y", f"sub(0:0110;1:01,{GOLDEN_EXPR})",
             "--json",
         )
         assert code == 2 and doc["status"] == "inconclusive"

@@ -28,6 +28,7 @@ from sturmkit.sequences import (
     NFSubst,
     oracles_equal,
     render_window,
+    render_word,
     reverse,
     shift,
     shift_relation,
@@ -170,6 +171,19 @@ def test_render_window():
     assert render_window(evp("0", "", "10", "0"), -3, 3) == "000.1000"
 
 
+@given(st.sampled_from([2, 4, 100, 300]).flatmap(
+    lambda k: st.tuples(st.just(alphabet_of_size(k)), st.lists(st.integers(0, k - 1), max_size=300))),
+    st.integers(-350, 50))
+def test_glyph_strings_match_the_join(case, lo):
+    alphabet, word = case
+    word = tuple(word)
+    glyphs = [alphabet.glyph(s) for s in word]
+    assert alphabet.word_to_str(word) == "".join(glyphs)
+    if lo <= 0 < lo + len(word):
+        glyphs.insert(-lo, ".")
+    assert render_word(word, alphabet, lo) == "".join(glyphs)
+
+
 def test_difference_set_mechanical():
     c, cu = MechanicalLower(GOLDEN), MechanicalUpper(GOLDEN)
     assert difference_set(c, cu) == frozenset({-1, 0})
@@ -183,6 +197,26 @@ def test_difference_set_mechanical():
     assert difference_set(
         MechanicalLower(GOLDEN, Fraction(1, 3)), MechanicalUpper(GOLDEN, Fraction(1, 3))
     ) == frozenset()
+
+
+def test_images_with_different_letter_frequencies_are_not_asymptotic():
+    def image(im0, im1, base=MechanicalLower(GOLDEN), size=2):
+        return substitute(Substitution({0: im0, 1: im1}, BINARY, alphabet_of_size(size)), base)
+
+    cases = [
+        # 0 has frequency 1/(2 - alpha) and (2 - alpha)/(3 - 2 alpha)
+        (image((0, 1), (0,)), image((0, 0, 1), (0,))),
+        # 1 has frequency (1 - alpha)/(2 - alpha) and alpha/(2 - alpha)
+        (image((0, 1), (2,), size=3), image((0, 2), (1,), size=3)),
+        # the first base is written as upper(1 - alpha) under 0 -> 0, 1 -> 01
+        (image((0, 1), (0,)), image((0, 1), (0,), MechanicalLower(GOLDEN_COMPL))),
+    ]
+    for x, y in cases:
+        with pytest.raises(sk.NotAsymptoticError, match="letter frequencies"):
+            difference_set(x, y)
+    # every letter has frequency 1/2 in both: no certificate either way
+    with pytest.raises(sk.UncertifiableError):
+        difference_set(image((0, 0, 1, 1), (0, 1)), image((0, 1, 1, 0), (0, 1)))
 
 
 def test_difference_set_evp():

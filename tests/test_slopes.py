@@ -2,16 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sturmkit import slopes
+from sturmkit.sequences import MechanicalLower, MechanicalUpper
 from sturmkit.slopes import (
     QuadraticIrrational,
     ceil_mul_add,
     continued_fraction,
     floor_mul_add,
     floor_ratio,
-    floor_steps,
     format_slope,
     is_rational,
     parse_slope,
@@ -198,18 +197,29 @@ def test_floor_ratio(alpha, m, l0, l1):
         assert got == pinned_ratio(m, l0, l1 - l0, alpha)
 
 
-def test_floor_steps_reanchors_near_carries(monkeypatch):
-    """With few fixed-point bits the running value often sits within its
-    error bound of a carry; re-anchoring on an exact floor keeps every step
-    exact."""
-    monkeypatch.setattr(slopes, "_FIXED_BITS", 10)
-    slopes._fixed_point.cache_clear()
-    try:
-        for alpha in QUADRATIC_SLOPES:
-            for rho in (Fraction(0), Fraction(-7, 3)):
-                for lo in (-500, 10 ** 20):
-                    reference = [floor_mul_add(alpha, n + 1, rho) - floor_mul_add(alpha, n, rho)
-                                 for n in range(lo, lo + 301)]
-                    assert list(floor_steps(alpha, lo, lo + 300, rho)) == reference
-    finally:
-        slopes._fixed_point.cache_clear()
+# the quadratic slopes of the benchmark's oracle reads
+READS_SLOPES = [QuadraticIrrational(a, b, c, d) for a, b, c, d in (
+    (-1, 1, 2, 5), (0, 1, 2, 2), (3, -1, 2, 5), (-1, 1, 1, 2), (1, 1, 4, 3), (-2, 1, 1, 7),
+    (5, -1, 4, 5))]
+
+
+SLOPES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)] + READS_SLOPES),
+    unit_slopes(),
+)
+INTERCEPTS = st.one_of(
+    st.just(Fraction(0)), st.integers(-4, 4).map(Fraction), st.fractions(-20, 20, max_denominator=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SLOPES, INTERCEPTS, st.sampled_from([0, 10 ** 50, -10 ** 50]), st.integers(-3000, 3000),
+       st.integers(1, 2000))
+def test_mechanical_window_matches_exact_floors(alpha, rho, far, offset, length):
+    """Both kinds of window, read by Gauss-map desubstitution, agree with
+    per-symbol exact floor and ceil differences."""
+    lo, hi = far + offset, far + offset + length - 1
+    lower = [floor_mul_add(alpha, n, rho) for n in range(lo, hi + 2)]
+    upper = [ceil_mul_add(alpha, n, rho) for n in range(lo, hi + 2)]
+    assert list(MechanicalLower(alpha, rho).window(lo, hi)) == [y - x for x, y in zip(lower, lower[1:])]
+    assert list(MechanicalUpper(alpha, rho).window(lo, hi)) == [y - x for x, y in zip(upper, upper[1:])]
