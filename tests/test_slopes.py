@@ -201,8 +201,6 @@ def test_floor_ratio(alpha, m, l0, l1):
 READS_SLOPES = [QuadraticIrrational(a, b, c, d) for a, b, c, d in (
     (-1, 1, 2, 5), (0, 1, 2, 2), (3, -1, 2, 5), (-1, 1, 1, 2), (1, 1, 4, 3), (-2, 1, 1, 7),
     (5, -1, 4, 5))]
-
-
 SLOPES = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)] + READS_SLOPES),
     unit_slopes(),
