@@ -178,34 +178,38 @@ def _lower_bytes(n: int, a: int, b: int, c: int, r: int, s: int, t: int, d: int,
     upper(1 - alpha, -rho).  Upper words are mirrored lower words, and each
     intercept is brought back into [0, 1), so every level reads a window that
     starts at 0; a tau_k level at least halves it, down to slope 0 (all
-    zeros) or a handful of symbols read by direct floors.  Every intercept
+    zeros) or a handful of blocks, whose starts are read by direct floors
+    whatever k is.  A rational word repeats with period c.  Every intercept
     stays in Q(sqrt(d)), so every symbol is decided by exact floors.
     """
     if a == 0 and b == 0:
         return zero * n
-    if n <= 8:
-        # floor(alpha*m + rho) for m = 1..n, from 0 at m = 0
-        at, bt, ct, rc, sc = a * t, b * t, c * t, r * c, s * c
-        f = [0] + [_floor_quadratic(at * m + rc, bt * m + sc, ct, d) for m in range(1, n + 1)]
-        return b"".join([one if f[m + 1] > f[m] else zero for m in range(n)])
+    if b == 0 and c < n:
+        return (_lower_bytes(c, a, b, c, r, s, t, d, zero, one) * (n // c + 1))[:n]
     if _sign_a_plus_b_sqrt(2 * a - c, 2 * b, d) > 0:
         # lower(alpha, rho)_m = 1 - lower(1 - alpha, rho - (1 - alpha)*n)_(n-1-m)
         a, b = c - a, -b
         r, s, t = _fraction_part(r * c - t * a * n, s * c - t * b * n, t * c, d)
         return _lower_bytes(n, a, b, c, r, s, t, d, one, zero)[::-1]
-    last = _floor_quadratic(a * (n - 1) * t + r * c, b * (n - 1) * t + s * c, c * t, d)
+    # blocks 0..ones cover the window, and its ones end blocks 0..ones - 1
+    ones = _floor_quadratic(a * n * t + r * c, b * n * t + s * c, c * t, d)
     k, a, b, c = _gauss(a, b, c, d)
-    # rho/alpha = rho*(k + beta) = (p + q*sqrt(d))/u for beta = {1/alpha} =
-    # (a + b*sqrt(d))/c, and block 0 starts at ceil(-rho/alpha) = -head
+    # 1/alpha = (ka + b*sqrt(d))/c for beta = {1/alpha} = (a + b*sqrt(d))/c,
+    # and rho/alpha = (p + q*sqrt(d))/u
     ka = a + k * c
     p, q, u = r * ka + s * b * d, r * b + s * ka, t * c
+    if ones <= 8:  # a one before each block start -floor((rho - j)/alpha)
+        word = bytearray(zero * n)
+        for j in range(1, ones + 1):
+            word[-_floor_quadratic(p - j * t * ka, q - j * t * b, u, d) - 1] = one[0]
+        return bytes(word)
+    # blocks 0..ones read upper(beta, -rho/alpha), which is lower(beta,
+    # rho/alpha - beta*(ones + 1)) backwards; spelled with the other pair of
+    # bytes, it expands by tau_k in two passes, and block 0 starts at -head
     head = _floor_quadratic(p, q, u, d)
-    # blocks 0..last read upper(beta, -rho/alpha), which is
-    # lower(beta, rho/alpha - beta*(last + 1)) read backwards; spelled with
-    # the other pair of bytes, it expands by tau_k in two passes
-    r, s, t = _fraction_part(p - t * (last + 1) * a, q - t * (last + 1) * b, u, d)
+    r, s, t = _fraction_part(p - t * (ones + 1) * a, q - t * (ones + 1) * b, u, d)
     z, o = (b"\x02", b"\x03") if zero < b"\x02" else (b"\x00", b"\x01")
-    base = _lower_bytes(last + 1, a, b, c, r, s, t, d, z, o)[::-1]
+    base = _lower_bytes(ones + 1, a, b, c, r, s, t, d, z, o)[::-1]
     return base.replace(z, zero * (k - 1) + one).replace(o, zero * k + one)[head:head + n]
 
 

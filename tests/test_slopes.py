@@ -201,8 +201,24 @@ def test_floor_ratio(alpha, m, l0, l1):
 READS_SLOPES = [QuadraticIrrational(a, b, c, d) for a, b, c, d in (
     (-1, 1, 2, 5), (0, 1, 2, 2), (3, -1, 2, 5), (-1, 1, 1, 2), (1, 1, 4, 3), (-2, 1, 1, 7),
     (5, -1, 4, 5))]
+
+
+def reciprocal_plus(k, x):
+    """1/(k + x) for a quadratic irrational x, whose continued fraction is
+    that of x behind one more partial quotient k."""
+    A = x.a + k * x.c  # k + x = (A + b*sqrt(d))/c
+    return QuadraticIrrational(x.c * A, -x.c * x.b, A * A - x.b * x.b * x.d, x.d)
+
+
+# partial quotients near 10^12 to 10^15 at the first or second Gauss level,
+# and next to 0 or 1
+HUGE_QUOTIENT_SLOPES = [
+    Fraction(1, 10 ** 15), Fraction(10 ** 12, 2 * 10 ** 12 + 1), Fraction(10 ** 15 - 1, 10 ** 15),
+    reciprocal_plus(10 ** 12, GOLDEN), reciprocal_plus(2, reciprocal_plus(10 ** 12, GOLDEN)),
+    reciprocal_plus(1, reciprocal_plus(10 ** 12, GOLDEN)), QuadraticIrrational(-1, 1, 2 * 10 ** 9, 5),
+]
 SLOPES = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)] + READS_SLOPES),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)] + READS_SLOPES + HUGE_QUOTIENT_SLOPES),
     unit_slopes(),
 )
 INTERCEPTS = st.one_of(
