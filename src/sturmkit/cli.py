@@ -2,8 +2,9 @@
 
 Commands: generate, check-indist, classify, complexity, christoffel,
 limit-pair, derive.  Output is deterministic UTF-8 text or JSON (stable
-field names, schema_version 4; a pass or classification is ``certified``
-"all_lengths" or "up_to_max_len"); errors go to stderr.
+field names, schema_version 5; a pass or classification is ``certified``
+"all_lengths" or "up_to_max_len"); errors go to stderr.  Derived views and
+Sturmian-morphism images have normal forms; images over rho != 0 have none.
 
 Exit codes: 0 pass/classified, 1 fail/not-of-form (witness on stdout) or
 not asymptotic, 2 inconclusive (including an uncertifiable pair and a
@@ -15,15 +16,13 @@ Oracle expression grammar::
     evp(<u>|<y>.<z>|<w>)     shift(<expr>,<k>)
     rev(<expr>)              sub(<g>:<word>;...,<expr>)
 
-Slopes are ``p/q`` or ``(a+b*sqrt(d))/c``; set STURMKIT_LOG=DEBUG for logs.
+Slopes are ``p/q`` or ``(a+b*sqrt(d))/c``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from fractions import Fraction
 
@@ -59,7 +58,7 @@ from .sequences import (
 from .slopes import format_slope, parse_slope
 from .words import Word
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -367,14 +366,6 @@ def _classification_doc(outcome, alphabet: Alphabet) -> tuple[dict, str, int]:
     )
     if isinstance(outcome.base, derive_mod.MechanicalBase):
         doc["base"] = {"kind": "mechanical", "slope": format_slope(outcome.base.slope)}
-    elif isinstance(outcome.base, derive_mod.SturmianBase):
-        doc["base"] = {
-            "kind": "sturmian",
-            "slope_low": str(outcome.base.slope_low),
-            "slope_high": str(outcome.base.slope_high),
-            "window": list(outcome.base.window),
-            "window_word": _word_str(BINARY, outcome.base.window_word),
-        }
     else:
         base_doc: dict = {"kind": "non_recurrent"}
         if outcome.base.rational_class is not None:
@@ -554,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("STURMKIT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

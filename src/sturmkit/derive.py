@@ -4,15 +4,11 @@ indistinguishable asymptotic pairs.
 The normal forms of a recurrent pair in the closed oracle algebra show its
 decomposition: the members are images psi(lower(alpha)) and
 psi(upper(alpha)) of one irrational slope, and their anchors give the
-shift.  The rebuild is proved equal to the input on all of Z, which holds at
-every length and so comes before any bounded check; the slope is exact.
-
-Recurrent pairs of opaque oracles (derived views, Toeplitz limits) are
-peeled by derived sequences until the difference set fits in a two-position
-interval, where the pair is (up to a one-letter relabeling) a pair of
-characteristic Sturmian words; the difference set of the rebuilt pair pins
-the shift, the result is verified pointwise on the requested window, and
-the slope is an interval from symbol frequencies.  Non-recurrent pairs are
+shift.  Derived views have normal forms, and Sturmian morphisms fold into
+the mechanical base when the members' substitutions differ, so this one
+rebuild serves every recurrent pair the algebra can describe.  It is proved
+equal to the input on all of Z, which holds at every length and so comes
+before any bounded check; the slope is exact.  Non-recurrent pairs are
 shifts of one another, x = sigma^s y, with s read off the eventually periodic
 normal forms (``shift_relation``).  They reduce to (^inf0.10^inf,
 ^inf0.010^inf) through a two-letter substitution built from the length-|s|
@@ -22,9 +18,7 @@ relation is shown, a deeper bounded check supplies the witness.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .christoffel import RationalLimitClass, _limit_class
@@ -33,19 +27,20 @@ from .patterns import (
     NotAsymptoticError,
     UncertifiableError,
     check_indistinguishable,
-    shift_pair,
     substitute_pair,
 )
 from .sequences import (
     BINARY,
+    DerivedView,
     EventuallyPeriodic,
+    GapError,
     MechanicalLower,
     MechanicalUpper,
     SequenceOracle,
     Substitution,
     alphabet_of_size,
     is_recurrent,
-    mechanical_image,
+    mechanical_images,
     oracles_equal,
     shift,
     shift_relation,
@@ -55,16 +50,6 @@ from .sequences import (
 )
 from .slopes import QuadraticIrrational
 from .words import Word, occurrences
-
-log = logging.getLogger("sturmkit.derive")
-
-_SCAN_CHUNK = 512
-_SCAN_CAP = 1_000_000
-
-
-class GapError(ValueError):
-    """The marker or its return words are missing where a derivation needs
-    them: in the window, in the scanning budget or in the frozen catalog."""
 
 
 @dataclass(frozen=True)
@@ -92,76 +77,6 @@ def return_words(x: SequenceOracle, w: Word, window: tuple[int, int]) -> ReturnW
         if b + len(w) - 1 <= hi:
             crets.add(text[a - lo:b - lo + len(w)])
     return ReturnWordSet(tuple(w), frozenset(rets), frozenset(crets), window)
-
-
-class DerivedView(SequenceOracle):
-    """Oracle for the derived sequence of ``base`` at a one-symbol marker.
-
-    Position k holds the return word between marker occurrences i_k and
-    i_{k+1}, recoded through a fixed catalog; i_0 is the smallest occurrence
-    >= 0.  The occurrences sit in one list that grows at whichever end a read
-    needs, by one chunk of the base to the right or by at least doubling the
-    scanned left side, so the view stays exact for positions far beyond the
-    construction window.  A window [lo, hi] reads the base once, over
-    [i_lo, i_{hi+1}).
-    """
-
-    def __init__(self, base: SequenceOracle, marker: int,
-                 catalog: dict[Word, int], alphabet):
-        super().__init__(alphabet)
-        self.base = base
-        self.marker = marker
-        self.catalog = dict(catalog)
-        self._occ: list[int] = []  # i_first, i_(first+1), ...: all occurrences scanned
-        self._first = 0
-        self._scanned = (0, 0)     # base positions [lo, hi) seen
-        self.known_recurrent = is_recurrent(base)
-
-    def recoding(self) -> Substitution:
-        images = {sid: word for word, sid in self.catalog.items()}
-        return Substitution(images, self.alphabet, self.base.alphabet)
-
-    @property
-    def i0(self) -> int:
-        return self.occurrences(0, 0)[0]
-
-    def occurrences(self, lo: int, hi: int) -> list[int]:
-        """The marker occurrences i_lo, ..., i_hi (lo <= hi)."""
-        occ = self._occ
-        while lo < self._first or hi >= self._first + len(occ):
-            left = lo < self._first
-            start, end = self._scanned
-            if (-start if left else end) > _SCAN_CAP:
-                raise GapError(f"marker {self.marker} lacks occurrences {lo}..{hi} "
-                               f"in the scanned base range [{start}, {end})")
-            # a prepend copies the list, so a left scan doubles the left side
-            a, b = (start - max(_SCAN_CHUNK, -start), start) if left else (end, end + _SCAN_CHUNK)
-            found = [a + i for i, s in enumerate(self.base.window(a, b - 1)) if s == self.marker]
-            if left:
-                occ[:0] = found
-                self._first -= len(found)
-            else:
-                occ += found
-            self._scanned = (min(start, a), max(end, b))
-        return occ[lo - self._first:hi - self._first + 1]
-
-    def _window(self, lo: int, hi: int) -> Word:
-        occ = self.occurrences(lo, hi + 1)
-        first = occ[0]
-        text = self.base.window(first, occ[-1] - 1)
-        out = []
-        for a, b in zip(occ, occ[1:]):
-            word = text[a - first:b - first]
-            sid = self.catalog.get(word)
-            if sid is None:
-                raise GapError(
-                    f"return word {word} not in the catalog; rebuild with a larger window"
-                )
-            out.append(sid)
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"derived({self.base!r}, marker={self.marker})"
 
 
 @dataclass(frozen=True)
@@ -284,19 +199,6 @@ class MechanicalBase:
 
 
 @dataclass(frozen=True)
-class SturmianBase:
-    """Binary base pair of an opaque input plus a slope interval estimated
-    from symbol frequency."""
-
-    window_word: Word
-    window: tuple[int, int]
-    slope_low: Fraction
-    slope_high: Fraction
-    lower_oracle: SequenceOracle
-    upper_oracle: SequenceOracle
-
-
-@dataclass(frozen=True)
 class NonRecurrentBase:
     """The pair (^inf0.10^inf, ^inf0.010^inf); optionally its rational limit class."""
 
@@ -310,14 +212,12 @@ class ClassificationResult:
     phi: Substitution
     m: int
     x_is_first: bool  # pair.x matches sigma^m phi(sigma c) resp. sigma^m phi(^inf0.10^inf)
-    base: Union[MechanicalBase, SturmianBase, NonRecurrentBase]
+    base: Union[MechanicalBase, NonRecurrentBase]
     verified_to: Optional[int]
     verify_window: tuple[int, int]
 
 
 ClassifyOutcome = Union[ClassificationResult, NotIndistinguishable, Inconclusive]
-
-_MAX_DERIVATIONS = 64
 
 
 def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
@@ -333,8 +233,10 @@ def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
     at every length by the theorem, whose hypotheses hold: psi and phi are
     non-erasing (``Substitution`` rejects empty images), psi is non-commuting (a
     commuting psi has a periodic normal form) and alpha is irrational (``NFMech``
-    holds irrational slopes only).  Other pairs are checked up to max_len, then a
-    recurrent one gets a :class:`SturmianBase` from derived sequences.
+    holds irrational slopes only).  Derived views and images under Sturmian
+    morphisms have such normal forms; images over an intercept rho != 0 and
+    opaque oracles (Toeplitz limits, views of them) do not.  Those pairs are
+    checked up to max_len: a failure gives the witness, a pass is Inconclusive.
     """
     if pair.is_trivial:
         raise ValueError("classification requires a non-trivial pair")
@@ -348,7 +250,7 @@ def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
         return NotIndistinguishable(verdict.witness)
     if recurrent is None:
         return Inconclusive("recurrence undecidable for this oracle class")
-    return _classify_recurrent(pair, window, max_len)
+    return Inconclusive("no normal form shows the members as psi(lower(alpha)), psi(upper(alpha))")
 
 
 def certified_all_lengths(pair: AsymptoticPair) -> bool:
@@ -366,7 +268,9 @@ def certified_all_lengths(pair: AsymptoticPair) -> bool:
 def _classify_structural(pair: AsymptoticPair,
                          window: tuple[int, int]) -> Optional[ClassificationResult]:
     """Read (psi, alpha, m) off the normal forms, or None when they do not
-    show psi(lower(alpha)) and psi(upper(alpha)) with equal images.
+    show psi(lower(alpha)) and psi(upper(alpha)) with equal images, after
+    Sturmian morphisms are folded into the bases when the members'
+    substitutions differ (images over rho != 0 stay as they are).
 
     The member over the lower word, anchored at A, is sigma^m psi(sigma
     lower(alpha)) with m = -|psi(0)| - A, because lower(alpha)_0 = 0.  The
@@ -374,9 +278,10 @@ def _classify_structural(pair: AsymptoticPair,
     sits over upper(alpha) the result is rewritten as psi o swap over
     lower(1 - alpha), so that x always comes first.
     """
-    ix, iy = mechanical_image(pair.x), mechanical_image(pair.y)
-    if ix is None or iy is None or ix.phi.image_key() != iy.phi.image_key():
+    images = mechanical_images(pair.x, pair.y)
+    if images is None or images[0].phi.image_key() != images[1].phi.image_key():
         return None
+    ix, iy = images
     bx, by = ix.base, iy.base
     if bx.alpha != by.alpha or bx.rho or by.rho or {bx.kind, by.kind} != {"lower", "upper"}:
         return None
@@ -400,17 +305,11 @@ def _classify_structural(pair: AsymptoticPair,
     )
 
 
-def _witness_or_inconclusive(pair: AsymptoticPair, lengths: Sequence[int], resource: str,
-                             steps: Sequence[Substitution] = ()) -> ClassifyOutcome:
-    """The witness at the first failing length in ``lengths``, carried back through
-    the derivation steps that produced ``pair``, else Inconclusive(resource)."""
+def _witness_or_inconclusive(pair: AsymptoticPair, lengths: Sequence[int],
+                             resource: str) -> ClassifyOutcome:
+    """The witness at the first failing length in ``lengths``, else Inconclusive(resource)."""
     verdict = next((v for n in lengths if not (v := check_indistinguishable(pair, n)).passed), None)
-    if verdict is None:
-        return Inconclusive(resource)
-    witness = verdict.witness
-    for phi in reversed(steps):
-        witness = phi(witness)
-    return NotIndistinguishable(witness)
+    return Inconclusive(resource) if verdict is None else NotIndistinguishable(verdict.witness)
 
 
 def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
@@ -460,101 +359,5 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
         x_is_first=s > 0,
         base=NonRecurrentBase(rational),
         verified_to=None,
-        verify_window=window,
-    )
-
-
-def _classify_recurrent(pair: AsymptoticPair, window: tuple[int, int],
-                        max_len: int) -> ClassifyOutcome:
-    lo_w, hi_w = window
-    work_window = (min(lo_w, -64), max(hi_w, 64))
-    steps: list[Substitution] = []
-    cur = pair
-
-    for _ in range(_MAX_DERIVATIONS):
-        lo, hi = cur.span()
-        k = hi - lo + 1
-        if k == 1:
-            return _witness_or_inconclusive(cur, (2,), "difference set degenerated to one position", steps)
-        if k == 2:
-            break
-        shifted = shift_pair(cur, lo)
-        counts: dict[int, int] = {}
-        for s in shifted.x.window(0, k - 1):
-            counts[s] = counts.get(s, 0) + 1
-        progressed = False
-        for a in sorted(counts, key=lambda s: (counts[s], s)):
-            try:
-                nxt = derived_pair(shifted, a, work_window)
-            except (GapError, NotAsymptoticError) as exc:
-                log.debug("marker %s rejected: %s", a, exc)
-                continue
-            if nxt.is_trivial:
-                return Inconclusive("derived pair became trivial")
-            nlo, nhi = nxt.span()
-            if nhi - nlo + 1 < k:
-                steps.append(nxt.x.recoding())
-                cur = nxt
-                progressed = True
-                break
-        if not progressed:
-            return Inconclusive("no marker symbol shrinks the difference interval")
-    else:
-        return Inconclusive(f"derivation did not terminate in {_MAX_DERIVATIONS} rounds")
-
-    # base case: k = 2; move the difference set onto {-1, 0}
-    lo, _ = cur.span()
-    base2 = shift_pair(cur, lo + 1)
-    a_sym, b_sym = base2.x.at(-1), base2.x.at(0)
-    if (base2.y.at(-1), base2.y.at(0)) != (b_sym, a_sym) or a_sym == b_sym:
-        return _witness_or_inconclusive(base2, (2,), "base pair is not a two-letter exchange", steps)
-
-    alpha_bet = base2.alphabet
-    relabel = Substitution({1: (a_sym,), 0: (b_sym,)}, BINARY, alpha_bet)
-    inv_images = {s: (0,) for s in range(alpha_bet.size)}
-    inv_images[a_sym] = (1,)
-    inv_images[b_sym] = (0,)
-    inv = Substitution(inv_images, alpha_bet, BINARY)
-    lower_or = substitute(inv, base2.x)
-    upper_or = substitute(inv, base2.y)
-    base_pair = AsymptoticPair(lower_or, upper_or, frozenset({-1, 0}))
-    steps.append(relabel)
-
-    phi = steps[-1]
-    for outer in reversed(steps[:-1]):
-        phi = outer.compose(phi)
-
-    resub = substitute_pair(phi, shift_pair(base_pair, 1))
-    if resub.is_trivial:
-        return Inconclusive("rebuilt pair is trivial")
-    # pair = sigma^m(resub) moves the difference set by -m
-    m = min(resub.diff) - min(pair.diff)
-    # every step rebuilds x from x, so resub.x is the member that matches pair.x
-    if (pair.x.window(lo_w, hi_w) != resub.x.window(lo_w + m, hi_w + m)
-            or pair.y.window(lo_w, hi_w) != resub.y.window(lo_w + m, hi_w + m)):
-        return Inconclusive("round-trip verification failed on the window")
-
-    est_lo = max(lo_w, -256)
-    est_hi = min(hi_w, 256)
-    base_word = lower_or.window(est_lo, est_hi)
-    length = len(base_word)
-    ones = sum(base_word)
-    slope_low = max(Fraction(0), Fraction(ones - 1, length))
-    slope_high = min(Fraction(1), Fraction(ones + 1, length))
-
-    return ClassificationResult(
-        case="recurrent",
-        phi=phi,
-        m=m,
-        x_is_first=True,
-        base=SturmianBase(
-            window_word=base_word,
-            window=(est_lo, est_hi),
-            slope_low=slope_low,
-            slope_high=slope_high,
-            lower_oracle=lower_or,
-            upper_oracle=upper_or,
-        ),
-        verified_to=max_len,
         verify_window=window,
     )

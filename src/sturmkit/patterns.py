@@ -97,7 +97,8 @@ class Pattern:
 class AsymptoticPair:
     """Two oracles plus their exact, certified difference set; construction
     checks that the members differ exactly there on the set's hull, and that
-    members given no difference set are equal wherever normal forms decide it."""
+    members given no difference set are equal: on all of Z where normal forms
+    decide it, else on one bounded window."""
 
     x: SequenceOracle
     y: SequenceOracle
@@ -111,8 +112,8 @@ class AsymptoticPair:
         else:
             try:
                 exact = oracles_equal(self.x, self.y)
-            except UncertifiableError:
-                exact = True  # opaque members, such as derived views, have only window reads
+            except UncertifiableError:  # members outside the closed algebra
+                exact = not window_difference(self.x, self.y, -64, 64)
         if not exact:
             raise ValueError(f"members do not differ exactly on {sorted(self.diff)} over its hull")
 

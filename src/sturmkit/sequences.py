@@ -2,11 +2,11 @@
 
 The oracle algebra is closed under the constructions used throughout the
 library: mechanical words (rational or quadratic-irrational slope),
-eventually periodic sequences ``^inf(u) y . z (w)^inf``, shifts, reversals
-and substitution images.  Every oracle answers ``window(lo, hi)`` and
-``at(n)`` for any integers without approximation.  The window is the
-primitive read: each oracle builds its window from one window of what it is
-built on, so a read costs
+eventually periodic sequences ``^inf(u) y . z (w)^inf``, shifts, reversals,
+substitution images and derived views.  Every oracle answers
+``window(lo, hi)`` and ``at(n)`` for any integers without approximation.
+The window is the primitive read: each oracle builds its window from one
+window of what it is built on, so a read costs
 
 * O(log(hi - lo)) exact floors plus O(hi - lo) byte operations for a
   mechanical word,
@@ -41,6 +41,7 @@ from typing import Optional, Union
 from .slopes import (
     QuadraticIrrational,
     Slope,
+    _gauss,
     _sign_a_plus_b_sqrt,
     ceil_mul_add,
     check_slope,
@@ -398,6 +399,87 @@ class SubstImage(SequenceOracle):
         return f"sub({self.phi!r},{self.base!r},@{self.anchor})"
 
 
+_SCAN_CHUNK = 512
+_SCAN_CAP = 1_000_000
+
+
+class GapError(ValueError):
+    """The marker or its return words are missing where a derivation needs
+    them: in the window, in the scanning budget or in the frozen catalog."""
+
+
+class DerivedView(SequenceOracle):
+    """Oracle for the derived sequence of ``base`` at a one-symbol marker.
+
+    Position k holds the return word between marker occurrences i_k and
+    i_{k+1}, recoded through a fixed catalog; i_0 is the smallest occurrence
+    >= 0.  The occurrences sit in one list that grows at whichever end a read
+    needs, by one chunk of the base to the right or by at least doubling the
+    scanned left side, so the view stays exact for positions far beyond the
+    construction window.  A window [lo, hi] reads the base once, over
+    [i_lo, i_{hi+1}).  A view has a normal form unless its base is opaque or
+    an image over an intercept rho != 0.
+    """
+
+    def __init__(self, base: SequenceOracle, marker: int,
+                 catalog: dict[Word, int], alphabet):
+        super().__init__(alphabet)
+        self.base = base
+        self.marker = marker
+        self.catalog = dict(catalog)
+        self._occ: list[int] = []  # i_first, i_(first+1), ...: all occurrences scanned
+        self._first = 0
+        self._scanned = (0, 0)     # base positions [lo, hi) seen
+
+    @property
+    def known_recurrent(self) -> Optional[bool]:
+        return is_recurrent(self.base)
+
+    def recoding(self) -> Substitution:
+        images = {sid: word for word, sid in self.catalog.items()}
+        return Substitution(images, self.alphabet, self.base.alphabet)
+
+    @property
+    def i0(self) -> int:
+        return self.occurrences(0, 0)[0]
+
+    def occurrences(self, lo: int, hi: int) -> list[int]:
+        """The marker occurrences i_lo, ..., i_hi (lo <= hi)."""
+        occ = self._occ
+        while lo < self._first or hi >= self._first + len(occ):
+            left = lo < self._first
+            start, end = self._scanned
+            if (-start if left else end) > _SCAN_CAP:
+                raise GapError(f"marker {self.marker} lacks occurrences {lo}..{hi} "
+                               f"in the scanned base range [{start}, {end})")
+            # a prepend copies the list, so a left scan doubles the left side
+            a, b = (start - max(_SCAN_CHUNK, -start), start) if left else (end, end + _SCAN_CHUNK)
+            found = [a + i for i, s in enumerate(self.base.window(a, b - 1)) if s == self.marker]
+            if left:
+                occ[:0] = found
+                self._first -= len(found)
+            else:
+                occ += found
+            self._scanned = (min(start, a), max(end, b))
+        return occ[lo - self._first:hi - self._first + 1]
+
+    def code(self, word: Word) -> int:
+        """The catalog id of a return word."""
+        sid = self.catalog.get(word)
+        if sid is None:
+            raise GapError(f"return word {word} not in the catalog; rebuild with a larger window")
+        return sid
+
+    def _window(self, lo: int, hi: int) -> Word:
+        occ = self.occurrences(lo, hi + 1)
+        first = occ[0]
+        text = self.base.window(first, occ[-1] - 1)
+        return tuple(self.code(text[a - first:b - first]) for a, b in zip(occ, occ[1:]))
+
+    def __repr__(self) -> str:
+        return f"derived({self.base!r}, marker={self.marker})"
+
+
 def shift(x: SequenceOracle, k: int) -> SequenceOracle:
     """Oracle with at(n) = x.at(n + k), i.e. the k-th shift power of x."""
     if k == 0:
@@ -602,6 +684,14 @@ def _normalize(x: SequenceOracle) -> NormalForm:
         # opaque base
         return _collapse_or_keep(NFSubst(phi, NFOpaque(x.base), anchor), x)
 
+    if isinstance(x, DerivedView):
+        nf = normal_form(x.base)
+        if isinstance(nf, NFEvp):
+            return _derived_evp(x, nf)
+        image = _as_image(nf, x.base.alphabet)
+        if image is not None and not image.base.rho:
+            return _derived_image(x, image)
+
     return NFOpaque(x)
 
 
@@ -611,10 +701,10 @@ def _reverse_mech(base: NFMech) -> NFMech:
     return _make_nfmech(other, base.alpha, -base.rho, -base.offset - 1)
 
 
-def _subst_over_mech(phi: Substitution, mech: NFMech, anchor: int,
-                     x: SequenceOracle) -> NormalForm:
-    """Normal form of the image of ``mech`` with block 0 at ``anchor``: the
-    mechanical offset is absorbed into the anchor, so the base sits at offset 0."""
+def _oriented(phi: Substitution, mech: NFMech, anchor: int) -> NFSubst:
+    """The image of ``mech`` with block 0 at ``anchor``, its mechanical
+    offset absorbed into the anchor (the base sits at offset 0) and its base
+    slope below 1/2."""
     mech0 = NFMech(mech.kind, mech.alpha, mech.rho, 0)
     if mech0.alpha.compare_fraction(_HALF) > 0:
         # one orientation per image: the base slope is below 1/2, so two
@@ -622,7 +712,13 @@ def _subst_over_mech(phi: Substitution, mech: NFMech, anchor: int,
         phi, mech0 = swap_base(phi, mech0)
     # the swapped pair spells the same blocks, so it gives the same start
     adj = SubstImage(mech0.oracle, phi).block_start(mech.offset)
-    return _collapse_or_keep(NFSubst(phi, mech0, anchor - adj), x)
+    return NFSubst(phi, mech0, anchor - adj)
+
+
+def _subst_over_mech(phi: Substitution, mech: NFMech, anchor: int,
+                     x: SequenceOracle) -> NormalForm:
+    """Normal form of the image of ``mech`` with block 0 at ``anchor``."""
+    return _collapse_or_keep(_oriented(phi, mech, anchor), x)
 
 
 _HALF = Fraction(1, 2)
@@ -637,20 +733,121 @@ def swap_base(phi: Substitution, mech: NFMech) -> tuple[Substitution, NFMech]:
     return swapped, _make_nfmech(other, _one_minus(mech.alpha), -mech.rho, mech.offset)
 
 
-def mechanical_image(x: SequenceOracle) -> Optional[NFSubst]:
-    """x as an image of an irrational mechanical word at offset 0, or None.
-
-    A mechanical normal form is read as its image under 0 -> 0, 1 -> 1 into
-    x's alphabet, with anchor -offset; any other normal form but an image of
-    a mechanical word gives None.
-    """
-    nf = normal_form(x)
+def _as_image(nf: NormalForm, alphabet: Alphabet) -> Optional[NFSubst]:
+    """nf as an image of an irrational mechanical word at offset 0, or None;
+    a mechanical normal form is its image under 0 -> 0, 1 -> 1 into the
+    alphabet, with anchor -offset."""
     if isinstance(nf, NFMech):
         base = NFMech(nf.kind, nf.alpha, nf.rho, 0)
-        return NFSubst(Substitution({0: (0,), 1: (1,)}, BINARY, x.alphabet), base, -nf.offset)
+        return NFSubst(Substitution({0: (0,), 1: (1,)}, BINARY, alphabet), base, -nf.offset)
     if isinstance(nf, NFSubst) and isinstance(nf.base, NFMech):
         return nf
     return None
+
+
+def mechanical_images(x: SequenceOracle, y: SequenceOracle) -> Optional[tuple[NFSubst, NFSubst]]:
+    """x and y as images of irrational mechanical words at offset 0, with
+    Sturmian morphisms folded into the bases when the substitutions differ;
+    None unless both normal forms are such images."""
+    ix, iy = _as_image(normal_form(x), x.alphabet), _as_image(normal_form(y), y.alphabet)
+    return None if ix is None or iy is None else _folded(ix, iy)
+
+
+def _folded(nx: NFSubst, ny: NFSubst) -> tuple[NFSubst, NFSubst]:
+    if nx.phi.image_key() == ny.phi.image_key():
+        return nx, ny
+    return _fold(nx), _fold(ny)
+
+
+def _fold(nf: NFSubst) -> NFSubst:
+    """nf with the Sturmian morphisms it admits on the right folded into its
+    base, if that is lower(beta) or upper(beta) (rho = 0).
+
+    A kept conjugate phi (not every image ends with one letter), possibly
+    after the swap 0 <-> 1, is (v, phi(0)) o m for m: 0 -> 1, 1 -> 10 when
+    phi(1) = phi(0) v.  With alpha = 1/(1 + beta) and (sigma z)_n = z_(n+1),
+    m(lower beta) = upper alpha and m(upper beta) = sigma^-1 lower alpha.
+    Every tau_k: 0 -> 0^(k-1)1, 1 -> 0^k1 and its mirror peel in such steps,
+    and each step shortens the images.
+    """
+    if not isinstance(nf.base, NFMech) or nf.base.rho:
+        return nf
+    nf = _kept_conjugate(_oriented(nf.phi, nf.base, nf.anchor))
+    while True:
+        for phi, mech in ((nf.phi, nf.base), swap_base(nf.phi, nf.base)):
+            p0, p1 = phi.images[0], phi.images[1]
+            if len(p0) < len(p1) and p1[:len(p0)] == p0:
+                break
+        else:
+            return nf
+        psi = Substitution({0: p1[len(p0):], 1: p0}, BINARY, phi.codomain)
+        a, b, c, d = mech.alpha.a, mech.alpha.b, mech.alpha.c, mech.alpha.d
+        alpha = QuadraticIrrational(c * (c + a), -c * b, (c + a) ** 2 - b * b * d, d)
+        kind, offset = ("upper", 0) if mech.kind == "lower" else ("lower", -1)
+        nf = _kept_conjugate(_oriented(psi, NFMech(kind, alpha, Fraction(0), offset), nf.anchor))
+
+
+def _derived_evp(view: DerivedView, nf: NFEvp) -> NormalForm:
+    """The view of an eventually periodic word: a tail period holding c
+    markers repeats every c return words, so exact marker counts over the
+    pads and one period of each tail give the periodic parts."""
+    a = view.marker
+    lo = min(nf.lb - nf.pu, 0)
+    text = view.base.window(lo, max(nf.lb, nf.rb + nf.pw, 0))
+    occ = [lo + i for i, s in enumerate(text) if s == a]
+    zero = bisect_right(occ, -1)
+
+    def index(q: int) -> int:  # the derived index of the first occurrence >= q
+        return bisect_right(occ, q - 1) - zero
+
+    left, right = index(nf.lb) - index(nf.lb - nf.pu), index(nf.rb + nf.pw) - index(nf.rb)
+    if not left or not right:
+        raise GapError(f"marker {a} is missing from a periodic tail of {view.base!r}")
+    lb, rb = min(index(nf.lb) - left, 0), max(index(nf.rb), 0)
+    word = view.window(lb - left, rb + right - 1)
+    mid, end = left - lb, left - lb + rb  # where derived indices 0 and rb sit in word
+    parts = word[:left], word[left:mid], word[mid:end], word[end:]
+    return normal_form(EventuallyPeriodic(*parts, view.alphabet))
+
+
+def _derived_image(view: DerivedView, image: NFSubst) -> NormalForm:
+    """The view of psi(s), s = lower(alpha) or upper(alpha), is theta(s').
+
+    upper(alpha) = m(lower beta) and lower(alpha) = sigma m(upper beta) for
+    m: 0 -> 10^(k-1), 1 -> 10^k, k = floor(1/alpha), beta = {1/alpha}.  With
+    the images swapped so that psi(1) holds the marker a (and k = 1 when both
+    do), those of psi o m are h a u_b, h free of a, so the return words of
+    block b are h a u_b h cut before each a.  Block 0's first one has the
+    derived index of its marker, counted from the block holding position 0
+    with one exact height.
+    """
+    a, phi, mech, anchor = view.marker, image.phi, image.base, image.anchor
+    p0, p1 = phi.images[0], phi.images[1]
+    if a not in p1 or (a in p0 and mech.alpha.compare_fraction(_HALF) < 0):
+        phi, mech = swap_base(phi, mech)
+        p0, p1 = p1, p0
+    alpha = mech.alpha
+    k, *beta = _gauss(alpha.a, alpha.b, alpha.c, alpha.d)
+    if (k - 1) * len(p0) >= max(map(len, view.catalog)):
+        raise GapError(f"return words of {view.base!r} at marker {a} outrun the catalog")
+    kind, anchor = ("upper", anchor - len(p1)) if mech.kind == "lower" else ("lower", anchor)
+    mech = NFMech(kind, QuadraticIrrational(*beta, alpha.d), Fraction(0), 0)
+    p0, p1 = p1 + p0 * (k - 1), p1 + p0 * k
+    head = p1[:p1.index(a)]
+
+    def returns(im: Word) -> Word:
+        word = im[len(head):] + head
+        cuts = [i for i, s in enumerate(word) if s == a] + [len(word)]
+        return tuple(view.code(word[i:j]) for i, j in zip(cuts, cuts[1:]))
+
+    theta = Substitution({0: returns(p0), 1: returns(p1)}, BINARY, view.alphabet)
+    image = SubstImage(mech.oracle, Substitution({0: p0, 1: p1}, BINARY, phi.codomain), anchor)
+    i, start, _ = image._block_of(0)
+    q = start + len(head)  # the first marker of block i
+    n_q = image.window(0, q - 1).count(a) if q > 0 else -image.window(q, -1).count(a) if q < 0 else 0
+    t0, t1 = p0.count(a), p1.count(a)
+    ones = mech.oracle.height(i) - mech.oracle.height(0)
+    return _subst_over_mech(theta, mech, n_q - i * t0 - (t1 - t0) * ones, view)
 
 
 def _collapse_or_keep(nf: NFSubst, x: SequenceOracle) -> NormalForm:
@@ -671,9 +868,13 @@ def _collapse_or_keep(nf: NFSubst, x: SequenceOracle) -> NormalForm:
             mech = nf.base if im0 == 0 else swap_base(nf.phi, nf.base)[1]
             # an identity relabel of the base, possibly its complement: a shift
             return NFMech(mech.kind, mech.alpha, mech.rho, mech.offset - nf.anchor)
-    # while every image ends with one letter c, the conjugate c psi c^-1 spells
-    # the same sequence with each block one position to the left; images that
-    # agree so |psi(0)| + |psi(1)| times commute (Fine-Wilf) and have collapsed
+    return _kept_conjugate(nf)
+
+
+def _kept_conjugate(nf: NFSubst) -> NFSubst:
+    """While every image ends with one letter c, the conjugate c psi c^-1
+    spells the same sequence with each block one position to the left;
+    images that agree so |psi(0)| + |psi(1)| times commute (Fine-Wilf)."""
     images, anchor = nf.phi.images, nf.anchor
     while len({im[-1] for im in images.values()}) == 1:
         images = {s: im[-1:] + im[:-1] for s, im in images.items()}
@@ -750,7 +951,9 @@ def _subst_difference(nx: NFSubst, ny: NFSubst) -> frozenset[int]:
                 and nx.base.alpha == ny.base.alpha
                 and _frequencies_differ(nx.phi, ny.phi, nx.base.alpha)):
             raise NotAsymptoticError("images with different letter frequencies")
-        raise UncertifiableError("substitution images under different substitutions")
+        nx, ny = _folded(nx, ny)
+        if nx.phi.image_key() != ny.phi.image_key():
+            raise UncertifiableError("substitution images under different substitutions")
     base_diff = _nf_difference(nx.base, ny.base)
     if not base_diff:
         if nx.anchor == ny.anchor:
@@ -783,6 +986,10 @@ def _nf_difference(nx: NormalForm, ny: NormalForm) -> frozenset[int]:
     kinds = {type(nx), type(ny)}
     if kinds == {NFEvp, NFMech}:
         raise NotAsymptoticError("eventually periodic vs aperiodic mechanical word")
+    if kinds == {NFSubst, NFMech}:
+        alphabet = (nx if isinstance(nx, NFSubst) else ny).phi.codomain
+        if (ix := _as_image(nx, alphabet)) and (iy := _as_image(ny, alphabet)):
+            return _subst_difference(ix, iy)
     raise UncertifiableError(
         f"no structural certificate for {type(nx).__name__} vs {type(ny).__name__}"
     )

@@ -22,7 +22,7 @@ BASE_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "command"],
     "properties": {
-        "schema_version": {"const": 4},
+        "schema_version": {"const": 5},
         "command": {"type": "string"},
     },
 }
@@ -78,18 +78,6 @@ SCHEMAS = {
                     "required": ["kind", "slope"],
                     "additionalProperties": False,
                     "properties": {"kind": {"const": "mechanical"}, "slope": {"type": "string"}},
-                },
-                {
-                    "type": "object",
-                    "required": ["kind", "slope_low", "slope_high", "window", "window_word"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "sturmian"},
-                        "slope_low": {"type": "string"},
-                        "slope_high": {"type": "string"},
-                        "window": {"type": "array", "items": {"type": "integer"}},
-                        "window_word": {"type": "string"},
-                    },
                 },
                 {
                     "type": "object",
@@ -341,23 +329,24 @@ def test_classify_sturmian(capsys):
     assert parse_slope(doc["base"]["slope"]) == QuadraticIrrational(3, -1, 2, 5)
 
 
-def test_classify_window_base_schema():
-    # opaque inputs keep the window-estimated base; the CLI cannot spell a
-    # derived view, so the document is built from a classification directly
+def test_classify_derived_view_schema():
+    # derived views have normal forms, so the structural rebuild certifies
+    # them; the CLI cannot spell a derived view, so the document is built
+    # from a classification directly
     pair = derived_pair(
         shift_pair(certify_asymptotic(parse_oracle(GOLDEN_EXPR), parse_oracle(GOLDEN_UPPER_EXPR), 4), -1),
         0, (-120, 120),
     )
     outcome = derive.classify(pair, window=(-30, 30), max_len=8)
-    assert isinstance(outcome.base, derive.SturmianBase)
+    assert isinstance(outcome.base, derive.MechanicalBase) and outcome.verified_to is None
     doc, _, code = _classification_doc(outcome, pair.alphabet)
     validate(doc, SCHEMAS["classify"])
-    assert code == 0 and doc["base"]["kind"] == "sturmian"
-    assert doc["certified"] == "up_to_max_len" and doc["verified_to"] == 8
-    # check-indist on the same opaque pair passes up to its max_len only
+    assert code == 0 and doc["base"]["kind"] == "mechanical"
+    assert doc["certified"] == "all_lengths" and doc["verified_to"] is None
+    # check-indist on the same pair is certified at every length
     doc = _verdict_doc(check_indistinguishable(pair, 8), pair)
     validate(doc, SCHEMAS["check-indist"])
-    assert doc["status"] == "pass" and doc["certified"] == "up_to_max_len"
+    assert doc["status"] == "pass" and doc["certified"] == "all_lengths"
 
 
 def test_check_indist_certificates():
@@ -413,7 +402,7 @@ def test_derive_gaps_are_inconclusive(capsys):
     ):
         code, doc = run_json(capsys, "derive", "--x", expr, "--marker", "1",
                              f"--window={window}", "--json")
-        assert code == 2 and doc == {"schema_version": 4, "command": "derive",
+        assert code == 2 and doc == {"schema_version": 5, "command": "derive",
                                      "status": "inconclusive", "reason": reason}
         code, out, err = run(capsys, "derive", "--x", expr, "--marker", "1", f"--window={window}")
         assert code == 2 and out == f"inconclusive: {reason}\n" and not err

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -14,9 +15,7 @@ from sturmkit.derive import (
     MechanicalBase,
     NonRecurrentBase,
     NotIndistinguishable,
-    SturmianBase,
     _classify_non_recurrent,
-    _classify_recurrent,
     _classify_structural,
     classify,
     derived_pair,
@@ -36,18 +35,115 @@ from sturmkit.patterns import (
 )
 from sturmkit.sequences import (
     BINARY,
+    DerivedView,
     EventuallyPeriodic,
     MechanicalLower,
     MechanicalUpper,
+    SequenceOracle,
     Substitution,
     alphabet_of_size,
     is_recurrent,
+    normal_form,
     oracles_equal,
     shift,
     substitute,
 )
 
 from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, one_minus, to_str, to_word
+
+
+# ---------------------------------------------------------------------------
+# the window classifier, kept as the differential reference for classify:
+# derived sequences peel a recurrent pair until its difference set fits in
+# two positions, where it is a relabelled characteristic Sturmian pair; the
+# rebuild is verified on the window only and the slope is an interval
+
+
+@dataclass(frozen=True)
+class WindowBase:
+    """Binary base pair plus a slope interval estimated from symbol frequency."""
+
+    window_word: tuple
+    window: tuple[int, int]
+    slope_low: Fraction
+    slope_high: Fraction
+    lower_oracle: SequenceOracle
+    upper_oracle: SequenceOracle
+
+
+def _reference_witness(pair, length, resource, steps):
+    verdict = check_indistinguishable(pair, length)
+    if verdict.passed:
+        return Inconclusive(resource)
+    witness = verdict.witness
+    for phi in reversed(steps):
+        witness = phi(witness)
+    return NotIndistinguishable(witness)
+
+
+def window_classify(pair, window, max_len):
+    lo_w, hi_w = window
+    work_window = (min(lo_w, -64), max(hi_w, 64))
+    steps = []
+    cur = pair
+    for _ in range(64):
+        lo, hi = cur.span()
+        k = hi - lo + 1
+        if k == 1:
+            return _reference_witness(cur, 2, "difference set degenerated to one position", steps)
+        if k == 2:
+            break
+        shifted = shift_pair(cur, lo)
+        counts = {}
+        for s in shifted.x.window(0, k - 1):
+            counts[s] = counts.get(s, 0) + 1
+        for a in sorted(counts, key=lambda s: (counts[s], s)):
+            try:
+                nxt = derived_pair(shifted, a, work_window)
+            except (GapError, sk.NotAsymptoticError):
+                continue
+            if nxt.is_trivial:
+                return Inconclusive("derived pair became trivial")
+            nlo, nhi = nxt.span()
+            if nhi - nlo + 1 < k:
+                steps.append(nxt.x.recoding())
+                cur = nxt
+                break
+        else:
+            return Inconclusive("no marker symbol shrinks the difference interval")
+    else:
+        return Inconclusive("derivation did not terminate in 64 rounds")
+
+    # base case: k = 2; move the difference set onto {-1, 0}
+    base2 = shift_pair(cur, cur.span()[0] + 1)
+    a_sym, b_sym = base2.x.at(-1), base2.x.at(0)
+    if (base2.y.at(-1), base2.y.at(0)) != (b_sym, a_sym) or a_sym == b_sym:
+        return _reference_witness(base2, 2, "base pair is not a two-letter exchange", steps)
+    alphabet = base2.alphabet
+    inv_images = {s: (0,) for s in range(alphabet.size)}
+    inv_images[a_sym], inv_images[b_sym] = (1,), (0,)
+    inv = Substitution(inv_images, alphabet, BINARY)
+    lower_or, upper_or = substitute(inv, base2.x), substitute(inv, base2.y)
+    steps.append(Substitution({1: (a_sym,), 0: (b_sym,)}, BINARY, alphabet))
+    phi = steps[-1]
+    for outer in reversed(steps[:-1]):
+        phi = outer.compose(phi)
+
+    base_pair = AsymptoticPair(lower_or, upper_or, frozenset({-1, 0}))
+    resub = substitute_pair(phi, shift_pair(base_pair, 1))
+    if resub.is_trivial:
+        return Inconclusive("rebuilt pair is trivial")
+    m = min(resub.diff) - min(pair.diff)  # pair = sigma^m(resub) moves F by -m
+    if (pair.x.window(lo_w, hi_w) != resub.x.window(lo_w + m, hi_w + m)
+            or pair.y.window(lo_w, hi_w) != resub.y.window(lo_w + m, hi_w + m)):
+        return Inconclusive("round-trip verification failed on the window")
+    est = (max(lo_w, -256), min(hi_w, 256))
+    base_word = lower_or.window(*est)
+    ones = sum(base_word)
+    base = WindowBase(base_word, est, max(Fraction(0), Fraction(ones - 1, len(base_word))),
+                      min(Fraction(1), Fraction(ones + 1, len(base_word))), lower_or, upper_or)
+    return ClassificationResult(case="recurrent", phi=phi, m=m, x_is_first=True, base=base,
+                                verified_to=max_len, verify_window=window)
 
 
 def test_return_words_periodic():
@@ -75,6 +171,16 @@ def test_derivation_gaps_are_gap_errors():
     assert ds.recoding.images == {0: to_word("10")}  # 100 returns from position 3 on
     with pytest.raises(GapError, match="not in the catalog"):
         ds.oracle.window(0, 20)
+    # normal forms meet the same gaps: a periodic tail without the marker, and
+    # return words 1 0^(10^9 - 1) ... longer than any in the catalog
+    tailless = derived_sequence(EventuallyPeriodic.from_strings("0", "1", "1", "0"), 1, (-4, 4))
+    with pytest.raises(GapError, match="periodic tail"):
+        normal_form(tailless.oracle)
+    n = 2 * 10 ** 9 - 1  # 1/(10^9 + golden) = 2 (n - sqrt5) / (n^2 - 5)
+    view = DerivedView(MechanicalLower(sk.QuadraticIrrational(2 * n, -2, n * n - 5, 5)), 1,
+                       {(1, 0): 0, (1, 0, 0): 1}, alphabet_of_size(2))
+    with pytest.raises(GapError, match="outrun the catalog"):
+        normal_form(view)
 
 
 def test_return_words_overlapping_marker():
@@ -203,23 +309,29 @@ def test_substitution_preserves_check_surfaces_plain_errors(golden_pair, monkeyp
 ])
 def test_classify_surfaces_plain_errors_from_derivation(golden_pair, monkeypatch,
                                                         error, propagates):
-    # a derived golden pair with difference interval [-1, 1] needs one more
-    # round; a gap or a count mismatch rejects a marker, a bare ValueError is a fault
+    # a derived golden pair with difference interval [-1, 1] has a normal form,
+    # so classify runs no derivation round; in the window reference, which
+    # needs one more round, a gap or a count mismatch rejects a marker and a
+    # bare ValueError is a fault
     psi = Substitution({0: (1, 0, 0), 1: (0, 0)}, BINARY, BINARY)
     image = substitute_pair(psi, shift_pair(golden_pair, -1))
     pair = derived_pair(shift_pair(image, min(image.diff)), 0, (-120, 120))
     assert pair.span() == (-1, 1)
-    assert isinstance(classify(pair, window=(-30, 30), max_len=8).base, SturmianBase)
+    out = classify(pair, window=(-30, 30), max_len=8)
+    assert isinstance(out.base, MechanicalBase) and out.verified_to is None
+    assert isinstance(window_classify(pair, (-30, 30), 8).base, WindowBase)
 
     def fail(pair, a, window):
         raise error
 
     monkeypatch.setattr("sturmkit.derive.derived_pair", fail)
+    monkeypatch.setitem(globals(), "derived_pair", fail)
+    assert classify(pair, window=(-30, 30), max_len=8).base == out.base
     if propagates:
         with pytest.raises(ValueError, match="outside the hull"):
-            classify(pair, window=(-30, 30), max_len=8)
+            window_classify(pair, (-30, 30), 8)
     else:
-        out = classify(pair, window=(-30, 30), max_len=8)
+        out = window_classify(pair, (-30, 30), 8)
         assert out == Inconclusive("no marker symbol shrinks the difference interval")
 
 
@@ -292,14 +404,16 @@ def test_classify_members_not_shifts():
     assert isinstance(out, NotIndistinguishable) and to_str(out.witness) == "00"
 
 
-def test_classify_opaque_non_recurrent_is_inconclusive():
-    # derived views have no normal form to read a shift from
+def test_classify_derived_non_recurrent_pair():
+    # derived views of eventually periodic words are eventually periodic, so
+    # the shift relation is read off their normal forms
     phi = Substitution({0: (0, 1), 1: (0, 0, 1)}, BINARY, BINARY)
     x, y = (substitute(phi, EventuallyPeriodic.from_strings("0", "", z, "0")) for z in ("10", "010"))
     pair = certify_asymptotic(x, y, 20)
     derived = derived_pair(shift_pair(pair, min(pair.diff)), 0, (-64, 64))
     out = classify(derived, window=(-30, 30), max_len=8)
-    assert out == Inconclusive("members are not shown to be shifts of one another")
+    assert isinstance(out, ClassificationResult) and out.case == "non_recurrent"
+    assert out.verified_to is None
 
 
 def test_classify_rejects_toeplitz():
@@ -346,13 +460,14 @@ def _rebuild(out):
 
 
 def test_classify_derived_pair_in_both_orders(golden_pair):
-    # the window path rebuilds x from x, so x comes first in either order
+    # derived views have normal forms: the rebuild holds on all of Z, x first
     pair = derived_pair(shift_pair(golden_pair, -1), 0, (-120, 120))
     for x, y in ((pair.x, pair.y), (pair.y, pair.x)):
         out = classify(AsymptoticPair(x, y, pair.diff), window=(-30, 30), max_len=8)
-        assert isinstance(out, ClassificationResult) and isinstance(out.base, SturmianBase)
-        assert out.x_is_first
+        assert isinstance(out, ClassificationResult) and isinstance(out.base, MechanicalBase)
+        assert out.x_is_first and out.verified_to is None
         rx, ry = _rebuild(out)
+        assert oracles_equal(rx, x) and oracles_equal(ry, y)
         assert rx.window(-30, 30) == x.window(-30, 30) and ry.window(-30, 30) == y.window(-30, 30)
 
 
@@ -397,7 +512,7 @@ def recurrent_constructions(draw):
 @given(recurrent_constructions())
 def test_structural_classification_matches_derived_views(construction):
     """The normal-form decomposition rebuilds the pair exactly on all of Z; the
-    derived-view path, kept for opaque inputs, rebuilds it on the window."""
+    window reference rebuilds it from derived views on the window."""
     x, y, relabel = construction
     window = (-40, 40)
     pair = certify_asymptotic(x, y, 200)
@@ -407,8 +522,8 @@ def test_structural_classification_matches_derived_views(construction):
     rx, ry = _rebuild(out)
     assert oracles_equal(pair.x, rx) and oracles_equal(pair.y, ry)
 
-    slow = _classify_recurrent(pair, window, 8)
-    assert isinstance(slow, ClassificationResult) and isinstance(slow.base, SturmianBase)
+    slow = window_classify(pair, window, 8)
+    assert isinstance(slow, ClassificationResult) and isinstance(slow.base, WindowBase)
     assert slow.x_is_first
     sx, sy = _rebuild(slow)
     assert sx.window(*window) == pair.x.window(*window)
@@ -464,7 +579,8 @@ def test_structural_non_recurrent_pairs_pass_long_checks(construction):
 
 def _classify_check_first(pair, window, max_len):
     """classify in its former order: the bounded check at max_len ran before
-    any structural rebuild."""
+    any structural rebuild, and the window reference took recurrent pairs
+    without one."""
     verdict = check_indistinguishable(pair, max_len)
     if not verdict.passed:
         return NotIndistinguishable(verdict.witness)
@@ -473,7 +589,7 @@ def _classify_check_first(pair, window, max_len):
         return Inconclusive("recurrence undecidable for this oracle class")
     if recurrent:
         return (_classify_structural(pair, window)
-                or _classify_recurrent(pair, window, max_len))
+                or window_classify(pair, window, max_len))
     return _classify_non_recurrent(pair, window, max_len)
 
 

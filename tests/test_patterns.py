@@ -88,8 +88,10 @@ def test_pair_checks_an_empty_difference_set(golden_pair):
     with pytest.raises(ValueError, match="hull"):
         AsymptoticPair(x, y, frozenset())
     assert AsymptoticPair(x, substitute(psi, shift(MechanicalLower(GOLDEN), 1)), frozenset()).is_trivial
-    # members without a normal form are taken as given
+    # members without a normal form are compared on one bounded window
     assert AsymptoticPair(ToeplitzLimit(0), ToeplitzLimit(0), frozenset()).is_trivial
+    with pytest.raises(ValueError, match="hull"):
+        AsymptoticPair(ToeplitzLimit(0), ToeplitzLimit(1), frozenset())
 
 
 def test_abc_discrepancy_is_zero(abc_pair):

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sturmkit as sk
+from sturmkit import sequences
 from sturmkit.christoffel import limit_pair
-from sturmkit.derive import _SCAN_CAP, DerivedView, GapError, derived_sequence
+from sturmkit.derive import derived_sequence
 from sturmkit.language import ToeplitzLimit
 from sturmkit.sequences import (
+    _SCAN_CAP,
     BINARY,
+    DerivedView,
     EventuallyPeriodic,
+    GapError,
     Mechanical,
     MechanicalLower,
     MechanicalUpper,
@@ -654,6 +658,102 @@ def test_derived_view_window_matches_reference(base, marker, lo, length):
     word = view.window(lo, lo + length)
     assert list(word) == reference_window(view, lo, lo + length)
     assert view.at(lo) == word[0]
+
+
+# ---------------------------------------------------------------------------
+# Sturmian morphisms folded into the mechanical base, and derived views read
+# through their normal forms
+
+
+def gauss_inverse(k, beta):
+    """1/(k + beta) for a quadratic irrational beta = (a + b*sqrt(d))/c."""
+    s = k * beta.c + beta.a
+    return sk.QuadraticIrrational(beta.c * s, -beta.c * beta.b, s * s - beta.b ** 2 * beta.d, beta.d)
+
+
+def tau(k, mirrored):
+    """tau_k: 0 -> 0^(k-1)1, 1 -> 0^k1, or its mirror 0 -> 10^(k-1), 1 -> 10^k."""
+    images = {0: (0,) * (k - 1) + (1,), 1: (0,) * k + (1,)}
+    return Substitution({s: im[::-1] if mirrored else im for s, im in images.items()}, BINARY, BINARY)
+
+
+SWAP_BINARY = Substitution({0: (1,), 1: (0,)}, BINARY, BINARY)
+FAR = 10 ** 6
+
+
+@st.composite
+def sturmian_slopes(draw):
+    """1/(k + beta) or its complement, with a first partial quotient k up to 10^9."""
+    beta = draw(st.sampled_from([GOLDEN, SQRT2_HALF, GOLDEN_COMPL, sk.QuadraticIrrational(-2, 1, 1, 7)]))
+    alpha = gauss_inverse(draw(st.one_of(st.integers(1, 5), st.integers(10 ** 8, 10 ** 9))), beta)
+    return one_minus(alpha) if draw(st.booleans()) else alpha
+
+
+def characteristic_words():
+    return st.builds(lambda cls, alpha, k: shift(cls(alpha), k),
+                     st.sampled_from([MechanicalLower, MechanicalUpper]), sturmian_slopes(), st.integers(-5, 5))
+
+
+@st.composite
+def folded_images(draw):
+    """sigma^m (psi o f_1 o ... o f_j)(sigma^k s) for Sturmian factors f_i
+    (tau_k, its mirror or the swap), psi the identity or non-commuting onto
+    2-3 letters; with the fold of its normal form."""
+    if draw(st.booleans()):
+        psi = identity_substitution(BINARY)
+    else:
+        size = draw(st.integers(2, 3))
+        image = st.lists(st.integers(0, size - 1), min_size=1, max_size=3).map(tuple)
+        psi = Substitution({0: draw(image), 1: draw(image)}, BINARY, alphabet_of_size(size))
+        assume(psi.images[0] + psi.images[1] != psi.images[1] + psi.images[0])
+    phi = psi
+    for _ in range(draw(st.integers(1, 3))):
+        factor = draw(st.sampled_from(["tau", "mirror", "swap"]))
+        phi = phi.compose(SWAP_BINARY if factor == "swap" else tau(draw(st.integers(1, 4)), factor == "mirror"))
+    x = shift(substitute(phi, draw(characteristic_words())), draw(st.integers(-20, 20)))
+    nf = sequences._fold(sequences._as_image(normal_form(x), x.alphabet))
+    if psi.image_key() == identity_substitution(BINARY).image_key():
+        # every factor is peeled: the image is a shifted characteristic word
+        assert all(len(im) == 1 for im in nf.phi.images.values()) and nf.base.rho == 0
+    return x, nf.oracle, x
+
+
+@st.composite
+def derived_views(draw):
+    """A derived view, possibly of a view, of a shifted characteristic word,
+    of its image or of an eventually periodic word; with its normal form's
+    reader and an oracle that reads the view's base far out."""
+    x = draw(st.one_of(characteristic_words(), images(characteristic_words()), evps()))
+    for _ in range(draw(st.integers(1, 2))):
+        try:
+            x = derived_sequence(x, draw(st.integers(0, x.alphabet.size - 1)), (-200, 200)).oracle
+            nf = normal_form(x)
+        except GapError:  # the marker is too rare for the window
+            assume(False)
+    base = x.base
+    far_base = normal_form(base).oracle if isinstance(base, DerivedView) else base
+    return x, nf.oracle, far_base
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(folded_images(), derived_views()), st.integers(-30, 30))
+def test_folded_and_derived_normal_forms_read_like_their_oracles(case, lo):
+    """Near 0 a normal form reads as its oracle does.  At +-10^6 a folded
+    image is read directly; a view, whose marker scan stops at 10^6 base
+    positions, is checked through sigma^-i0 recoding(view) = base, which
+    holds for one derived word only, since each return word holds the
+    marker at its start and nowhere else.  Over periodic tails that
+    identity is decided exactly on all of Z."""
+    x, reader, far_base = case
+    assert reader.window(lo, lo + 40) == x.window(lo, lo + 40)
+    if isinstance(x, DerivedView):
+        rebuilt = shift(substitute(x.recoding(), reader), -x.i0)
+        if isinstance(normal_form(x), NFEvp):
+            assert oracles_equal(rebuilt, far_base)
+            return
+        reader, x = normal_form(rebuilt).oracle, far_base
+    for far in (FAR, -FAR - 40):
+        assert reader.window(far, far + 40) == x.window(far, far + 40)
 
 
 def test_nested_normal_form_reads_like_the_composed_image_far_out():
