@@ -305,24 +305,27 @@ def _classify_structural(pair: AsymptoticPair,
     )
 
 
-def _witness_or_inconclusive(pair: AsymptoticPair, lengths: Sequence[int],
+def _witness_or_inconclusive(pair: AsymptoticPair, depth: Optional[int],
                              resource: str) -> ClassifyOutcome:
-    """The witness at the first failing length in ``lengths``, else Inconclusive(resource)."""
-    verdict = next((v for n in lengths if not (v := check_indistinguishable(pair, n)).passed), None)
-    return Inconclusive(resource) if verdict is None else NotIndistinguishable(verdict.witness)
+    """The shortest witness up to ``depth``, else Inconclusive(resource); a
+    first failure at any shorter length is the first failure at depth."""
+    verdict = None if depth is None else check_indistinguishable(pair, depth)
+    if verdict is None or verdict.passed:
+        return Inconclusive(resource)
+    return NotIndistinguishable(verdict.witness)
 
 
 def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
                             max_len: Optional[int]) -> ClassifyOutcome:
     """sigma^m phi(^inf0.10^inf, ^inf0.010^inf), phi non-erasing: |w| = |s| >= 1, |v| >= 1.
-    Else the check at max_len, then deeper for a witness (neither if max_len is None)."""
+    Else one check, at least max_len deep, for a witness (none if max_len is None)."""
     lo_f, hi_f = pair.span()
     s = shift_relation(pair.x, pair.y)
     shift_s = abs(s or 0)
     k = max(hi_f - lo_f + 1, shift_s + 1)
-    lengths = () if max_len is None else sorted({max_len, max(max_len, 2 * (k + shift_s) + 4)})
+    depth = None if max_len is None else max(max_len, 2 * (k + shift_s) + 4)
     if s is None:
-        return _witness_or_inconclusive(pair, lengths, "members are not shown to be shifts of one another")
+        return _witness_or_inconclusive(pair, depth, "members are not shown to be shifts of one another")
     x, y = (pair.x, pair.y) if s > 0 else (pair.y, pair.x)
 
     xp = shift(x, lo_f)
@@ -335,7 +338,7 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     # and spells u[off:] + u[:off]: w is that conjugate of u
     off = next(iter(occurrences(w, u + u)), None)
     if off is None:
-        return _witness_or_inconclusive(pair, lengths, "conjugacy construction failed without a witness")
+        return _witness_or_inconclusive(pair, depth, "conjugacy construction failed without a witness")
     v = xp.window(0, k - shift_s - 1)
     phi = Substitution({0: w, 1: v + u[:off]}, BINARY, pair.alphabet)
 
@@ -343,7 +346,7 @@ def _classify_non_recurrent(pair: AsymptoticPair, window: tuple[int, int],
     rx, ry = (shift(substitute(phi, EventuallyPeriodic.from_strings("0", "", z, "0")), -lo_f)
               for z in ("10", "010"))
     if not (oracles_equal(x, rx) and oracles_equal(y, ry)):
-        return _witness_or_inconclusive(pair, lengths, "rebuilt pair does not match the input")
+        return _witness_or_inconclusive(pair, depth, "rebuilt pair does not match the input")
 
     # the limit classification wants the member reading 10 on {-1, 0} first
     rational = None

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional
+from typing import Container, Iterator, Optional
 
 from .sequences import (
     Alphabet,
@@ -211,36 +211,40 @@ def discrepancy(p: Pattern, pair: AsymptoticPair) -> int:
     return sum(int(p.matches_in(ys, n - lo)) - int(p.matches_in(xs, n - lo)) for n in positions)
 
 
-def _discrepancy_levels(pair: AsymptoticPair, max_len: int) -> Iterator[tuple]:
-    """Yield (deltas, spell) for n = 1..max_len: deltas maps each class of
-    length-n words with Delta_w != 0 to Delta_w; spell() maps those classes to
+def _hull(pair: AsymptoticPair, max_len: int) -> tuple[Word, Word]:
+    lo, hi = pair.span()[0] - max_len + 1, pair.span()[1] + max_len - 1
+    return pair.x.window(lo, hi), pair.y.window(lo, hi)
+
+
+def _discrepancy_levels(pair: AsymptoticPair, hull: tuple[Word, Word], max_len: int,
+                        lengths: Container[int]) -> Iterator[tuple]:
+    """Yield (n, deltas, spell) for n = 1..max_len in lengths: deltas maps each
+    length-n class with Delta_w != 0 to Delta_w; spell() maps those classes to
     their words, read at a first occurrence, until the next length is drawn.
 
-    The hull [min F - max_len + 1, max F + max_len - 1] of x and of y is read
-    once.  A start's class at length n+1 is looked up by (class at n, next
-    symbol) in one dict shared by x and y, so equal words get equal ids and no
-    word is hashed.  Delta counts the starts [min F - n + 1, max F]; a start
-    whose window misses F sees the same word in both and cancels.
+    hull holds x and y over [min F - max_len + 1, max F + max_len - 1].  A
+    start's class at length n+1 is looked up by (class at n, next symbol) in
+    one dict shared by x and y, so equal words get equal ids and no word is
+    hashed.  Delta counts the starts [min F - n + 1, max F]; a start whose
+    window misses F sees the same word in both and cancels.
     """
-    lo_f, hi_f = pair.span()
-    base = lo_f - max_len + 1
-    xs = pair.x.window(base, hi_f + max_len - 1)
-    ys = pair.y.window(base, hi_f + max_len - 1)
-    levels = factor_classes((xs, ys), hi_f - base + 1, pair.alphabet.size, max_len)
+    levels = factor_classes(hull, len(hull[0]) - max_len + 1, pair.alphabet.size, max_len)
     for n, ((cx, cy), _) in enumerate(levels, start=1):
+        if n not in lengths:
+            continue
         first = max_len - n  # index of the start min F - n + 1
         in_x, in_y = Counter(cx[first:]), Counter(cy[first:])
         deltas = {} if in_x == in_y else {c: d for c in in_x | in_y if (d := in_y[c] - in_x[c])}
 
         def spell() -> dict[int, Word]:
             words: dict[int, Word] = {}
-            for seq, classes in ((xs, cx), (ys, cy)):
+            for seq, classes in zip(hull, (cx, cy)):
                 for i, c in enumerate(classes):
                     if c in deltas and c not in words:
                         words[c] = seq[i:i + n]
             return words
 
-        yield deltas, spell
+        yield n, deltas, spell
 
 
 @dataclass(frozen=True)
@@ -257,17 +261,24 @@ def check_indistinguishable(pair: AsymptoticPair, max_len: int) -> Verdict:
     lexicographically smallest symbol ids.  A pass certifies nothing beyond
     max_len except for pairs matched by the classification theorems.
 
-    Reads the hull [min F - max_len + 1, max F + max_len - 1] of x and of y
-    once and costs O(max_len * (|F| + max_len)) time, |F| the width of the
-    difference interval, in O(|F| + max_len) memory.
+    Reads the hull [min F - max_len + 1, max F + max_len - 1] of x and y once
+    and refines classes in O(max_len * (|F| + max_len)) time and O(|F| +
+    max_len) memory, |F| the width of the difference interval.  Failure is
+    upward-closed in length, so Delta is counted only at 1, 2, 4, ..., max_len,
+    then at p+1..q on a slice of the hull, p the last pass and q the first fail.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if pair.is_trivial:
         return Verdict(True, None, max_len)
-    for length, (deltas, spell) in enumerate(_discrepancy_levels(pair, max_len), start=1):
-        if deltas:
-            return Verdict(False, min(spell().values()), length)
+    hull = _hull(pair, max_len)
+    probes = {min(1 << k, max_len) for k in range(max_len.bit_length() + 1)}
+    for q, deltas, _ in _discrepancy_levels(pair, hull, max_len, probes):
+        if deltas:  # the last pass was the probe below q, the largest power of two < q
+            sliced = tuple(text[max_len - q:len(text) - max_len + q] for text in hull)
+            bracket = range((1 << (q - 1).bit_length()) // 2 + 1, q + 1)
+            n, _, spell = next(v for v in _discrepancy_levels(pair, sliced, q, bracket) if v[1])
+            return Verdict(False, min(spell().values()), n)
     return Verdict(True, None, max_len)
 
 
@@ -277,18 +288,17 @@ def ns_norm_lower_bound(pair: AsymptoticPair, max_support: int) -> Fraction:
     Maximizes (1/n) * sum over all length-n words of |Delta_w| for
     n <= max_support; interval supports only, so this bounds the supremum
     over all finite supports from below.  Like check_indistinguishable it
-    reads the hull [min F - max_support + 1, max F + max_support - 1] once
-    and costs O(max_support * (|F| + max_support)).
+    reads the hull [min F - max_support + 1, max F + max_support - 1] once,
+    but it counts every length: O(max_support * (|F| + max_support)).
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1")
     if pair.is_trivial:
         return Fraction(0)
-    return max(
-        (Fraction(sum(map(abs, deltas.values())), n)
-         for n, (deltas, _) in enumerate(_discrepancy_levels(pair, max_support), start=1)),
-        default=Fraction(0),
-    )
+    every = range(1, max_support + 1)
+    return max((Fraction(sum(map(abs, deltas.values())), n) for n, deltas, _ in
+                _discrepancy_levels(pair, _hull(pair, max_support), max_support, every)),
+               default=Fraction(0))
 
 
 def pattern_reduction_check(p: Pattern, pair: AsymptoticPair) -> bool:

@@ -418,7 +418,8 @@ class DerivedView(SequenceOracle):
     scanned left side, so the view stays exact for positions far beyond the
     construction window.  A window [lo, hi] reads the base once, over
     [i_lo, i_{hi+1}).  A view has a normal form unless its base is opaque or
-    an image over an intercept rho != 0.
+    an image over an intercept rho != 0; a read whose scan passes _SCAN_CAP
+    base positions goes through that normal form.
     """
 
     def __init__(self, base: SequenceOracle, marker: int,
@@ -471,7 +472,13 @@ class DerivedView(SequenceOracle):
         return sid
 
     def _window(self, lo: int, hi: int) -> Word:
-        occ = self.occurrences(lo, hi + 1)
+        try:
+            occ = self.occurrences(lo, hi + 1)
+        except GapError:  # past the scan cap, a normal form still reads the window
+            nf = normal_form(self)
+            if isinstance(nf, NFOpaque):
+                raise
+            return nf.oracle.window(lo, hi)
         first = occ[0]
         text = self.base.window(first, occ[-1] - 1)
         return tuple(self.code(text[a - first:b - first]) for a, b in zip(occ, occ[1:]))
@@ -619,9 +626,14 @@ def _common_root_collapse(phi: Substitution) -> Optional[Word]:
 
 
 def normal_form(x: SequenceOracle) -> NormalForm:
-    """x's normal form, computed on the first call and kept on x."""
+    """x's normal form, computed once and kept on x (NFOpaque while being computed)."""
     if x._normal_form is None:
-        x._normal_form = _normalize(x)
+        x._normal_form = NFOpaque(x)
+        try:
+            x._normal_form = _normalize(x)
+        except BaseException:
+            x._normal_form = None
+            raise
     return x._normal_form
 
 

@@ -32,7 +32,7 @@ from sturmkit.sequences import (
     substitute,
 )
 
-from sturmkit.language import ToeplitzLimit
+from sturmkit.language import ToeplitzLimit, toeplitz_pair, toeplitz_thue_morse_pair
 
 from conftest import GOLDEN, SQRT2_HALF, to_str, to_word
 
@@ -212,6 +212,34 @@ def test_engine_matches_brute_force(pair):
     for max_len in range(1, 13):
         assert check_indistinguishable(pair, max_len) == reference_check(pair, max_len)
         assert ns_norm_lower_bound(pair, max_len) == reference_norm(pair, max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(evp_pairs_differing_on_pads(), substituted_sturmian_pairs()), st.integers(1, 40))
+def test_probe_search_matches_brute_force(pair, max_len):
+    """Discrepancies counted only at 1, 2, 4, ..., max_len and in the first
+    failing bracket give the verdict of counting every length."""
+    assert check_indistinguishable(pair, max_len) == reference_check(pair, max_len)
+
+
+def test_first_failure_inside_a_probe_bracket():
+    # ^inf0.010000(01)^inf against ^inf0.100000(01)^inf first fails at 7, strictly
+    # between the probes 4 and 8; with max_len 7 only the final probe sees it
+    pair = certify_asymptotic(EventuallyPeriodic.from_strings("0", "", "010000", "01"),
+                              EventuallyPeriodic.from_strings("0", "", "100000", "01"), 8)
+    assert check_indistinguishable(pair, 6) == Verdict(True, None, 6)
+    for max_len in (7, 8, 200):
+        verdict = check_indistinguishable(pair, max_len)
+        assert verdict == Verdict(False, to_word("0000000"), 7) == reference_check(pair, max_len)
+
+
+@pytest.mark.parametrize("pair, first", [(toeplitz_pair(), 1), (toeplitz_thue_morse_pair(), 2)])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 150])
+def test_toeplitz_controls_fail_at_their_first_length(pair, first, max_len):
+    verdict = check_indistinguishable(pair, max_len)
+    assert verdict == reference_check(pair, max_len)
+    assert verdict.passed == (max_len < first)
+    assert verdict.lengths_checked == (max_len if verdict.passed else first)
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,7 +40,7 @@ from sturmkit.sequences import (
 )
 from sturmkit.slopes import floor_mul_add, ceil_mul_add
 
-from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, one_minus, to_str
+from conftest import GOLDEN, GOLDEN_COMPL, SQRT2_HALF, one_minus, to_str, to_word
 
 TM = Substitution({0: (0, 1), 1: (1, 0)}, BINARY, BINARY)
 FIB = Substitution({0: (0, 1), 1: (0,)}, BINARY, BINARY)
@@ -824,6 +824,23 @@ def test_derived_view_scan_cap_on_each_side():
         view.occurrences(-2, -1)
     start, end = view._scanned
     assert start < -_SCAN_CAP and end > _SCAN_CAP
+    # the base has no marker in its right tail, so no normal form reads past the cap
+    with pytest.raises(GapError, match="periodic tail"):
+        view.window(0, 0)
+
+
+def test_derived_view_reads_past_the_scan_cap_through_its_normal_form():
+    view = derived_sequence(MechanicalLower(GOLDEN), 1, (-50, 50)).oracle
+    far = view.window(10 ** 6, 10 ** 6 + 40)
+    assert far == normal_form(view).oracle.window(10 ** 6, 10 ** 6 + 40)
+    assert view._scanned[1] > _SCAN_CAP
+    # computing this view's normal form reads its window past the cap: the read
+    # raises instead of asking for the normal form again, and the failure stays
+    gap = "0" * (_SCAN_CAP + 1000)  # i_1 lies past the last chunk the scan reads
+    view = DerivedView(evp("1", "", "1" + gap, "1"), 1, {(1,): 0, to_word("1" + gap): 1}, BINARY)
+    for _ in range(2):
+        with pytest.raises(GapError, match="scanned base range"):
+            normal_form(view)
 
 
 def test_block_start_closed_form_matches_walk():
