@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Container, Iterator, Optional
+from typing import Optional
 
 from .sequences import (
     Alphabet,
@@ -216,35 +216,15 @@ def _hull(pair: AsymptoticPair, max_len: int) -> tuple[Word, Word]:
     return pair.x.window(lo, hi), pair.y.window(lo, hi)
 
 
-def _discrepancy_levels(pair: AsymptoticPair, hull: tuple[Word, Word], max_len: int,
-                        lengths: Container[int]) -> Iterator[tuple]:
-    """Yield (n, deltas, spell) for n = 1..max_len in lengths: deltas maps each
-    length-n class with Delta_w != 0 to Delta_w; spell() maps those classes to
-    their words, read at a first occurrence, until the next length is drawn.
-
-    hull holds x and y over [min F - max_len + 1, max F + max_len - 1].  A
-    start's class at length n+1 is looked up by (class at n, next symbol) in
-    one dict shared by x and y, so equal words get equal ids and no word is
-    hashed.  Delta counts the starts [min F - n + 1, max F]; a start whose
-    window misses F sees the same word in both and cancels.
+def _deltas(hull: tuple[Word, Word], max_len: int, n: int) -> dict[Word, int]:
+    """{w: Delta_w} for the length-n words w with Delta_w != 0, {} if none,
+    from the slices at the starts [min F - n + 1, max F] of a hull read with
+    max_len >= n; a start whose window misses F sees one word in both and cancels.
     """
-    levels = factor_classes(hull, len(hull[0]) - max_len + 1, pair.alphabet.size, max_len)
-    for n, ((cx, cy), _) in enumerate(levels, start=1):
-        if n not in lengths:
-            continue
-        first = max_len - n  # index of the start min F - n + 1
-        in_x, in_y = Counter(cx[first:]), Counter(cy[first:])
-        deltas = {} if in_x == in_y else {c: d for c in in_x | in_y if (d := in_y[c] - in_x[c])}
-
-        def spell() -> dict[int, Word]:
-            words: dict[int, Word] = {}
-            for seq, classes in zip(hull, (cx, cy)):
-                for i, c in enumerate(classes):
-                    if c in deltas and c not in words:
-                        words[c] = seq[i:i + n]
-            return words
-
-        yield n, deltas, spell
+    first, last = max_len - n, len(hull[0]) - max_len  # the starts min F - n + 1 and max F
+    windows = [slice(i, i + n) for i in range(first, last + 1)]
+    in_x, in_y = (Counter(map(text.__getitem__, windows)) for text in hull)
+    return {} if in_x == in_y else {w: d for w in in_x | in_y if (d := in_y[w] - in_x[w])}
 
 
 @dataclass(frozen=True)
@@ -261,25 +241,32 @@ def check_indistinguishable(pair: AsymptoticPair, max_len: int) -> Verdict:
     lexicographically smallest symbol ids.  A pass certifies nothing beyond
     max_len except for pairs matched by the classification theorems.
 
-    Reads the hull [min F - max_len + 1, max F + max_len - 1] of x and y once
-    and refines classes in O(max_len * (|F| + max_len)) time and O(|F| +
-    max_len) memory, |F| the width of the difference interval.  Failure is
-    upward-closed in length, so Delta is counted only at 1, 2, 4, ..., max_len,
-    then at p+1..q on a slice of the hull, p the last pass and q the first fail.
+    Reads the hull [min F - max_len + 1, max F + max_len - 1] of x and y once,
+    |F| the width of the difference interval.  Failure is upward-closed in
+    length, so the length-n slices of both are counted only at n = 1, 2, 4,
+    ..., max_len; on the first failing probe q the bracket (p, q], p the last
+    passing probe, is bisected down to the first failing length.  That costs
+    O(max_len * (|F| + max_len)) symbol operations, all inside C-level slicing
+    and hashing, and O(|F| log max_len + max_len) interpreter steps; the two
+    Counters of the deepest probe hold O(max_len * (|F| + max_len)) symbols.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if pair.is_trivial:
         return Verdict(True, None, max_len)
     hull = _hull(pair, max_len)
-    probes = {min(1 << k, max_len) for k in range(max_len.bit_length() + 1)}
-    for q, deltas, _ in _discrepancy_levels(pair, hull, max_len, probes):
-        if deltas:  # the last pass was the probe below q, the largest power of two < q
-            sliced = tuple(text[max_len - q:len(text) - max_len + q] for text in hull)
-            bracket = range((1 << (q - 1).bit_length()) // 2 + 1, q + 1)
-            n, _, spell = next(v for v in _discrepancy_levels(pair, sliced, q, bracket) if v[1])
-            return Verdict(False, min(spell().values()), n)
-    return Verdict(True, None, max_len)
+    p, q = 0, 1
+    while not (deltas := _deltas(hull, max_len, q)):
+        if q == max_len:
+            return Verdict(True, None, max_len)
+        p, q = q, min(2 * q, max_len)
+    while q - p > 1:  # every length <= p passes and q fails
+        mid = (p + q) // 2
+        if failing := _deltas(hull, max_len, mid):
+            q, deltas = mid, failing
+        else:
+            p = mid
+    return Verdict(False, min(deltas), q)
 
 
 def ns_norm_lower_bound(pair: AsymptoticPair, max_support: int) -> Fraction:
@@ -287,18 +274,21 @@ def ns_norm_lower_bound(pair: AsymptoticPair, max_support: int) -> Fraction:
 
     Maximizes (1/n) * sum over all length-n words of |Delta_w| for
     n <= max_support; interval supports only, so this bounds the supremum
-    over all finite supports from below.  Like check_indistinguishable it
-    reads the hull [min F - max_support + 1, max F + max_support - 1] once,
-    but it counts every length: O(max_support * (|F| + max_support)).
+    over all finite supports from below.  It reads the hull as
+    check_indistinguishable does but needs every length, so it refines classes
+    (:func:`words.factor_classes`) instead of counting slices: O(max_support *
+    (|F| + max_support)) time and O(|F| + max_support) memory.
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1")
     if pair.is_trivial:
         return Fraction(0)
-    every = range(1, max_support + 1)
-    return max((Fraction(sum(map(abs, deltas.values())), n) for n, deltas, _ in
-                _discrepancy_levels(pair, _hull(pair, max_support), max_support, every)),
-               default=Fraction(0))
+    hull = _hull(pair, max_support)
+    levels = factor_classes(hull, len(hull[0]) - max_support + 1, pair.alphabet.size, max_support)
+    counts = ((n, Counter(cx[max_support - n:]), Counter(cy[max_support - n:]))
+              for n, ((cx, cy), _) in enumerate(levels, start=1))  # starts min F - n + 1 .. max F
+    return max((Fraction(sum(abs(in_y[c] - in_x[c]) for c in in_x | in_y), n)
+                for n, in_x, in_y in counts if in_x != in_y), default=Fraction(0))
 
 
 def pattern_reduction_check(p: Pattern, pair: AsymptoticPair) -> bool:

@@ -419,7 +419,7 @@ class DerivedView(SequenceOracle):
     construction window.  A window [lo, hi] reads the base once, over
     [i_lo, i_{hi+1}).  A view has a normal form unless its base is opaque or
     an image over an intercept rho != 0; a read whose scan passes _SCAN_CAP
-    base positions goes through that normal form.
+    base positions, or that needs an index past it, goes through that normal form.
     """
 
     def __init__(self, base: SequenceOracle, marker: int,
@@ -472,6 +472,12 @@ class DerivedView(SequenceOracle):
         return sid
 
     def _window(self, lo: int, hi: int) -> Word:
+        # i_k >= k for k >= 0 and i_k <= k for k < 0, so the occurrence such a
+        # read needs lies past _SCAN_CAP: skip the scan that would go past it
+        if hi >= _SCAN_CAP or lo < -_SCAN_CAP:
+            nf = normal_form(self)
+            if not isinstance(nf, NFOpaque):
+                return nf.oracle.window(lo, hi)
         try:
             occ = self.occurrences(lo, hi + 1)
         except GapError:  # past the scan cap, a normal form still reads the window

@@ -138,7 +138,8 @@ def test_check_golden_pair_deep(golden_pair):
 
 
 # brute-force oracle: every window of the hull spelled out and counted as a
-# tuple; the class-refinement engine must agree with it exactly
+# tuple at every length; the probe-and-bisect search, which counts only some
+# lengths, must agree with it exactly
 
 
 def reference_word_discrepancies(pair, length):
@@ -231,6 +232,16 @@ def test_first_failure_inside_a_probe_bracket():
     for max_len in (7, 8, 200):
         verdict = check_indistinguishable(pair, max_len)
         assert verdict == Verdict(False, to_word("0000000"), 7) == reference_check(pair, max_len)
+    # ^inf1.0^21 10 0^inf against ^inf1.0^21 01 0^inf differ on {21, 22} and first
+    # fail at 23, between the probes 16 and 32: the bisection of (16, 32] finds it
+    pair = certify_asymptotic(EventuallyPeriodic.from_strings("1", "", "0" * 21 + "10", "0"),
+                              EventuallyPeriodic.from_strings("1", "", "0" * 21 + "01", "0"), 32)
+    assert pair.diff == frozenset({21, 22})
+    assert check_indistinguishable(pair, 22) == Verdict(True, None, 22)
+    for max_len in (23, 24, 32, 1000):
+        assert check_indistinguishable(pair, max_len) == Verdict(False, (0,) * 23, 23)
+    for max_len in range(1, 41):
+        assert check_indistinguishable(pair, max_len) == reference_check(pair, max_len)
 
 
 @pytest.mark.parametrize("pair, first", [(toeplitz_pair(), 1), (toeplitz_thue_morse_pair(), 2)])

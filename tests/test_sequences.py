@@ -830,9 +830,10 @@ def test_derived_view_scan_cap_on_each_side():
 
 
 def test_derived_view_reads_past_the_scan_cap_through_its_normal_form():
+    # i_700000 lies near 1.13 * 10^6: the scan runs into the cap first
     view = derived_sequence(MechanicalLower(GOLDEN), 1, (-50, 50)).oracle
-    far = view.window(10 ** 6, 10 ** 6 + 40)
-    assert far == normal_form(view).oracle.window(10 ** 6, 10 ** 6 + 40)
+    far = view.window(7 * 10 ** 5, 7 * 10 ** 5 + 40)
+    assert far == normal_form(view).oracle.window(7 * 10 ** 5, 7 * 10 ** 5 + 40)
     assert view._scanned[1] > _SCAN_CAP
     # computing this view's normal form reads its window past the cap: the read
     # raises instead of asking for the normal form again, and the failure stays
@@ -841,6 +842,19 @@ def test_derived_view_reads_past_the_scan_cap_through_its_normal_form():
     for _ in range(2):
         with pytest.raises(GapError, match="scanned base range"):
             normal_form(view)
+
+
+def test_derived_view_skips_a_scan_that_cannot_reach_its_index():
+    # i_k >= k for k >= 0 and i_k <= k for k < 0: these reads need occurrences
+    # past the scan cap, so they go to the normal form without scanning
+    for lo in (10 ** 6, -3 * 10 ** 6):
+        view = derived_sequence(MechanicalLower(GOLDEN), 1, (-64, 64)).oracle
+        assert view.window(lo, lo + 40) == normal_form(view).oracle.window(lo, lo + 40)
+        assert len(view._occ) < 2000
+    # a view of an opaque base still scans and fails
+    view = DerivedView(ToeplitzLimit(0), 0, {}, BINARY)
+    with pytest.raises(GapError, match="scanned base range"):
+        view.window(10 ** 6, 10 ** 6)
 
 
 def test_block_start_closed_form_matches_walk():
