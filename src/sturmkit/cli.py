@@ -1,14 +1,25 @@
 """Command-line front end.
 
 Commands: generate, check-indist, classify, complexity, christoffel,
-limit-pair, derive.  Output is deterministic UTF-8 text or JSON (stable
-field names, schema_version 5; a pass or classification is ``certified``
-"all_lengths" or "up_to_max_len"); errors go to stderr.  Derived views and
-Sturmian-morphism images have normal forms; images over rho != 0 have none.
+limit-pair, derive.  Each command returns its document and its text and
+prints nothing.  ``main`` stamps the document with ``schema_version`` (5)
+and ``command``, prints it as deterministic JSON (``--json``, ``generate
+--format json``) or prints the text, and takes the exit code from the
+document's status in ``EXIT_CODES`` (a document without a status exits 0):
 
-Exit codes: 0 pass/classified, 1 fail/not-of-form (witness on stdout) or
-not asymptotic, 2 inconclusive (including an uncertifiable pair and a
-derivation gap), 3 argument or expression error.
+    pass, classified                          0
+    fail, not_indistinguishable (witness)     1
+    not_asymptotic                            1
+    inconclusive                              2
+
+A pass or classification is ``certified`` "all_lengths" or "up_to_max_len".
+One handler in ``main`` turns an outcome raised by any command into
+``{"status", "reason"}`` through ``OUTCOMES``: a pair that provably differs
+at infinitely many positions is not asymptotic; a pair without a structural
+certificate, or a derivation gap, is inconclusive.  Any other ``ValueError``
+is an argument or expression error: exit 3, message on stderr.  Derived
+views and Sturmian-morphism images have normal forms; images over rho != 0
+have none.
 
 Oracle expression grammar::
 
@@ -44,6 +55,7 @@ from .sequences import (
     Alphabet,
     BINARY,
     EventuallyPeriodic,
+    GapError,
     MechanicalLower,
     MechanicalUpper,
     SequenceOracle,
@@ -60,10 +72,12 @@ from .words import Word
 
 SCHEMA_VERSION = 5
 
-EXIT_PASS = 0
-EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
+EXIT_CODES = {"pass": 0, "classified": 0, "fail": 1, "not_indistinguishable": 1,
+              "not_asymptotic": 1, "inconclusive": 2}
 EXIT_USAGE = 3
+
+OUTCOMES = {NotAsymptoticError: "not_asymptotic", UncertifiableError: "inconclusive",
+            GapError: "inconclusive"}
 
 
 class ExprError(ValueError):
@@ -257,37 +271,21 @@ def staircase(word: Word) -> str:
     return "\n".join(lines)
 
 
-def _emit(doc: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(text)
-
-
 def _word_str(alphabet: Alphabet, word) -> str:
     return alphabet.word_to_str(tuple(word))
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[dict, str]:
     x = parse_oracle(args.expr)
     lo, hi = _parse_window(args.window)
     word = x.window(lo, hi)
     if args.format == "staircase":
-        print(staircase(word))
-        return EXIT_PASS
+        return {}, staircase(word)
     rendered = render_word(word, x.alphabet, lo)
     if args.format == "text":
-        print(rendered)
-        return EXIT_PASS
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "generate",
-        "window": [lo, hi],
-        "symbols": _word_str(x.alphabet, word),
-        "rendered": rendered,
-    }
-    print(json.dumps(doc, sort_keys=True))
-    return EXIT_PASS
+        return {}, rendered
+    return {"window": [lo, hi], "symbols": _word_str(x.alphabet, word),
+            "rendered": rendered}, rendered
 
 
 def _verdict_doc(verdict: Verdict, pair) -> dict:
@@ -306,156 +304,96 @@ def _verdict_doc(verdict: Verdict, pair) -> dict:
     return doc
 
 
-_PAIR_OUTCOMES = {NotAsymptoticError: ("not_asymptotic", EXIT_FAIL),
-                  UncertifiableError: ("inconclusive", EXIT_INCONCLUSIVE)}
+def _pair(args) -> AsymptoticPair:
+    x, y = parse_oracle(args.x), parse_oracle(args.y)
+    return AsymptoticPair(x, y, difference_set(x, y))
 
 
-def _report(args, command: str, status: str, reason: str) -> None:
-    """Emit a mathematical outcome that ends the command: its status and why."""
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "status": status, "reason": reason}
-    _emit(doc, args.json, f"{status}: {reason}")
-
-
-def _certify_or_report(args, command: str):
-    """(pair, None) for a certified pair, else (None, exit code) after
-    emitting why the pair is not asymptotic or cannot be certified."""
-    try:
-        x, y = parse_oracle(args.x), parse_oracle(args.y)
-        return AsymptoticPair(x, y, difference_set(x, y)), None
-    except (NotAsymptoticError, UncertifiableError) as exc:
-        (status, code), reason = _PAIR_OUTCOMES[type(exc)], str(exc)
-    _report(args, command, status, reason)
-    return None, code
-
-
-def cmd_check_indist(args) -> int:
-    pair, code = _certify_or_report(args, "check-indist")
-    if pair is None:
-        return code
-    verdict = check_indistinguishable(pair, args.max_len)
-    doc = _verdict_doc(verdict, pair)
-    text = ("pass" if verdict.passed
-            else f"fail witness={doc.get('witness', '')}")
-    _emit(doc, args.json, text)
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+def cmd_check_indist(args) -> tuple[dict, str]:
+    pair = _pair(args)
+    doc = _verdict_doc(check_indistinguishable(pair, args.max_len), pair)
+    return doc, ("pass" if doc["status"] == "pass"
+                 else f"fail witness={doc.get('witness', '')}")
 
 
 def _classification_doc(outcome, alphabet: Alphabet) -> tuple[dict, str, int]:
     doc: dict = {"schema_version": SCHEMA_VERSION, "command": "classify"}
     if isinstance(outcome, derive_mod.NotIndistinguishable):
-        witness = _word_str(alphabet, outcome.witness)
-        doc.update(status="not_indistinguishable", witness=witness)
-        return doc, witness, EXIT_FAIL
-    if isinstance(outcome, derive_mod.Inconclusive):
+        text = _word_str(alphabet, outcome.witness)
+        doc.update(status="not_indistinguishable", witness=text)
+    elif isinstance(outcome, derive_mod.Inconclusive):
         doc.update(status="inconclusive", resource=outcome.resource)
-        return doc, f"inconclusive: {outcome.resource}", EXIT_INCONCLUSIVE
-    phi_doc = {
-        outcome.phi.domain.glyph(s): _word_str(outcome.phi.codomain, im)
-        for s, im in sorted(outcome.phi.images.items())
-    }
-    doc.update(
-        status="classified",
-        case=outcome.case,
-        substitution=phi_doc,
-        m=outcome.m,
-        x_is_first=outcome.x_is_first,
-        certified="all_lengths" if outcome.verified_to is None else "up_to_max_len",
-        verified_to=outcome.verified_to,
-        verify_window=list(outcome.verify_window),
-    )
-    if isinstance(outcome.base, derive_mod.MechanicalBase):
-        doc["base"] = {"kind": "mechanical", "slope": format_slope(outcome.base.slope)}
+        text = f"inconclusive: {outcome.resource}"
     else:
-        base_doc: dict = {"kind": "non_recurrent"}
-        if outcome.base.rational_class is not None:
-            rc = outcome.base.rational_class
-            base_doc["rational_class"] = {"p": rc.p, "q": rc.q, "side": rc.side}
-        doc["base"] = base_doc
-    text = f"classified case={outcome.case} m={outcome.m} phi={phi_doc}"
-    return doc, text, EXIT_PASS
+        phi_doc = {
+            outcome.phi.domain.glyph(s): _word_str(outcome.phi.codomain, im)
+            for s, im in sorted(outcome.phi.images.items())
+        }
+        doc.update(
+            status="classified",
+            case=outcome.case,
+            substitution=phi_doc,
+            m=outcome.m,
+            x_is_first=outcome.x_is_first,
+            certified="all_lengths" if outcome.verified_to is None else "up_to_max_len",
+            verified_to=outcome.verified_to,
+            verify_window=list(outcome.verify_window),
+        )
+        if isinstance(outcome.base, derive_mod.MechanicalBase):
+            doc["base"] = {"kind": "mechanical", "slope": format_slope(outcome.base.slope)}
+        else:
+            base_doc: dict = {"kind": "non_recurrent"}
+            if outcome.base.rational_class is not None:
+                rc = outcome.base.rational_class
+                base_doc["rational_class"] = {"p": rc.p, "q": rc.q, "side": rc.side}
+            doc["base"] = base_doc
+        text = f"classified case={outcome.case} m={outcome.m} phi={phi_doc}"
+    return doc, text, EXIT_CODES[doc["status"]]
 
 
-def cmd_classify(args) -> int:
-    lo, hi = _parse_window(args.window)
-    pair, code = _certify_or_report(args, "classify")
-    if pair is None:
-        return code
-    outcome = derive_mod.classify(pair, window=(lo, hi), max_len=args.max_len)
-    doc, text, code = _classification_doc(outcome, pair.alphabet)
-    _emit(doc, args.json, text)
-    return code
+def cmd_classify(args) -> tuple[dict, str]:
+    window = _parse_window(args.window)
+    pair = _pair(args)
+    outcome = derive_mod.classify(pair, window=window, max_len=args.max_len)
+    doc, text, _ = _classification_doc(outcome, pair.alphabet)
+    return doc, text
 
 
-def cmd_complexity(args) -> int:
+def cmd_complexity(args) -> tuple[dict, str]:
     x = parse_oracle(args.x)
     lo, hi = _parse_window(args.window)
     profile = complexity_profile(x, args.max_n, (lo, hi))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "complexity",
-        "max_n": args.max_n,
-        "window": [lo, hi],
-        "profile": profile,
-    }
-    _emit(doc, args.json, " ".join(str(c) for c in profile))
-    return EXIT_PASS
+    doc = {"max_n": args.max_n, "window": [lo, hi], "profile": profile}
+    return doc, " ".join(str(c) for c in profile)
 
 
-def cmd_christoffel(args) -> int:
+def cmd_christoffel(args) -> tuple[dict, str]:
     kind = "upper" if args.upper else "lower"
     cw = christoffel_word(args.p, args.q, kind)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "christoffel",
-        "p": args.p,
-        "q": args.q,
-        "kind": kind,
-        "word": str(cw),
-    }
+    doc = {"p": args.p, "q": args.q, "kind": kind, "word": str(cw)}
     text = str(cw)
     if args.factorize:
         left, right = palindrome_factorization(cw)
         doc["palindromes"] = [_word_str(BINARY, left), _word_str(BINARY, right)]
-        text = f"{_word_str(BINARY, left)} {_word_str(BINARY, right)}"
-    _emit(doc, args.json, text)
-    return EXIT_PASS
+        text = " ".join(doc["palindromes"])
+    return doc, text
 
 
-def cmd_limit_pair(args) -> int:
+def cmd_limit_pair(args) -> tuple[dict, str]:
     form = make_limit_pair(args.p, args.q, args.side)
     lo, hi = _parse_window(args.window)
     xw = render_window(form.pair.x, lo, hi)
     yw = render_window(form.pair.y, lo, hi)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "limit-pair",
-        "p": args.p,
-        "q": args.q,
-        "side": args.side,
-        "window": [lo, hi],
-        "x": xw,
-        "y": yw,
-    }
-    _emit(doc, args.json, f"x: {xw}\ny: {yw}")
-    return EXIT_PASS
+    doc = {"p": args.p, "q": args.q, "side": args.side, "window": [lo, hi], "x": xw, "y": yw}
+    return doc, f"x: {xw}\ny: {yw}"
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> tuple[dict, str]:
     x = parse_oracle(args.x)
     lo, hi = _parse_window(args.window)
     marker_word = x.alphabet.word_from_str(args.marker)
-    try:
-        rws = derive_mod.return_words(x, marker_word, (lo, hi))
-        if len(marker_word) == 1:
-            ds = derive_mod.derived_sequence(x, marker_word[0], (lo, hi))
-            derived_word = ds.oracle.window(0, max(1, (hi - lo) // 8) - 1)
-    except derive_mod.GapError as exc:
-        _report(args, "derive", "inconclusive", str(exc))
-        return EXIT_INCONCLUSIVE
+    rws = derive_mod.return_words(x, marker_word, (lo, hi))
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "derive",
         "marker": args.marker,
         "window": [lo, hi],
         "return_words": sorted(_word_str(x.alphabet, w) for w in rws.returns),
@@ -468,6 +406,8 @@ def cmd_derive(args) -> int:
         "complete: " + " ".join(doc["complete_return_words"]),
     ]
     if len(marker_word) == 1:
+        ds = derive_mod.derived_sequence(x, marker_word[0], (lo, hi))
+        derived_word = ds.oracle.window(0, max(1, (hi - lo) // 8) - 1)
         doc["derived_window"] = _word_str(ds.oracle.alphabet, derived_word)
         doc["recoding"] = {
             ds.oracle.alphabet.glyph(s): _word_str(x.alphabet, im)
@@ -476,8 +416,7 @@ def cmd_derive(args) -> int:
         doc["i0"] = ds.i0
         lines.append("derived: " + doc["derived_window"])
         lines.append(f"i0: {ds.i0}")
-    _emit(doc, args.json, "\n".join(lines))
-    return EXIT_PASS
+    return doc, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,10 +490,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (ValueError, KeyError) as exc:
+        doc, text = args.func(args)
+    except tuple(OUTCOMES) as exc:  # before ValueError: the outcomes subclass it
+        status = OUTCOMES[type(exc)]
+        doc, text = {"status": status, "reason": str(exc)}, f"{status}: {exc}"
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    doc.update(schema_version=SCHEMA_VERSION, command=args.cmd)
+    as_json = getattr(args, "json", False) or getattr(args, "format", None) == "json"
+    print(json.dumps(doc, sort_keys=True) if as_json else text)
+    return EXIT_CODES[doc["status"]] if "status" in doc else 0
 
 
 if __name__ == "__main__":

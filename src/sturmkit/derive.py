@@ -245,12 +245,10 @@ def classify(pair: AsymptoticPair, window: tuple[int, int] = (-64, 64),
         return _classify_non_recurrent(pair, window, max_len)
     if recurrent and (structural := _classify_structural(pair, window)):
         return structural
-    verdict = check_indistinguishable(pair, max_len)
-    if not verdict.passed:
-        return NotIndistinguishable(verdict.witness)
-    if recurrent is None:
-        return Inconclusive("recurrence undecidable for this oracle class")
-    return Inconclusive("no normal form shows the members as psi(lower(alpha)), psi(upper(alpha))")
+    return _witness_or_inconclusive(
+        pair, max_len,
+        "recurrence undecidable for this oracle class" if recurrent is None
+        else "no normal form shows the members as psi(lower(alpha)), psi(upper(alpha))")
 
 
 def certified_all_lengths(pair: AsymptoticPair) -> bool:

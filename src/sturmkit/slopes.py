@@ -69,9 +69,6 @@ class QuadraticIrrational:
         object.__setattr__(self, "c", c // g)
         object.__setattr__(self, "d", d)
 
-    def __float__(self) -> float:
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
-
     def __str__(self) -> str:
         return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"
 

@@ -8,7 +8,8 @@ from sturmkit.christoffel import christoffel
 from sturmkit.cli import _classification_doc, _verdict_doc, main, parse_oracle
 from sturmkit.derive import derived_pair
 from sturmkit.language import toeplitz_thue_morse_pair
-from sturmkit.patterns import certify_asymptotic, check_indistinguishable, shift_pair
+from sturmkit.patterns import AsymptoticPair, certify_asymptotic, check_indistinguishable, shift_pair
+from sturmkit.sequences import MechanicalLower, MechanicalUpper, SequenceOracle
 from sturmkit.slopes import QuadraticIrrational, parse_slope
 
 from conftest import to_str
@@ -349,6 +350,32 @@ def test_classify_derived_view_schema():
     assert doc["status"] == "pass" and doc["certified"] == "all_lengths"
 
 
+class Opaque(SequenceOracle):
+    """A mechanical word read through ``_window``: it has no normal form."""
+
+    def __init__(self, base, known_recurrent):
+        super().__init__(base.alphabet)
+        self.base, self.known_recurrent = base, known_recurrent
+
+    def _window(self, lo, hi):
+        return self.base.window(lo, hi)
+
+
+@pytest.mark.parametrize("known_recurrent, resource", [
+    (True, "no normal form shows the members as psi(lower(alpha)), psi(upper(alpha))"),
+    (None, "recurrence undecidable for this oracle class"),
+])
+def test_classify_opaque_pair_is_inconclusive(known_recurrent, resource):
+    golden = QuadraticIrrational(-1, 1, 2, 5)
+    pair = AsymptoticPair(Opaque(MechanicalLower(golden), known_recurrent),
+                          Opaque(MechanicalUpper(golden), known_recurrent), frozenset({-1, 0}))
+    outcome = derive.classify(pair, max_len=12)
+    assert outcome == derive.Inconclusive(resource)
+    doc, text, code = _classification_doc(outcome, pair.alphabet)
+    validate(doc, SCHEMAS["classify"])
+    assert code == 2 and doc["resource"] == resource and text == f"inconclusive: {resource}"
+
+
 def test_check_indist_certificates():
     # the characteristic golden pair is rebuilt from its normal forms
     golden = certify_asymptotic(parse_oracle(GOLDEN_EXPR), parse_oracle(GOLDEN_UPPER_EXPR), 4)
@@ -414,6 +441,18 @@ def test_usage_errors(capsys):
     code, _, _ = run(capsys, "generate", "--expr", "lower(1/2)", "--window", "5:1")
     assert code == 3
     assert main(["no-such-command"]) == 3
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_library_bugs_are_not_usage_errors(monkeypatch, error):
+    # only ValueError is an argument or expression error (exit 3); anything
+    # else raised inside a command surfaces
+    def broken(*args, **kwargs):
+        raise error("bug")
+
+    monkeypatch.setattr(derive, "classify", broken)
+    with pytest.raises(error):
+        main(["classify", "--x", GOLDEN_EXPR, "--y", GOLDEN_UPPER_EXPR])
 
 
 def test_determinism(capsys):

@@ -369,6 +369,23 @@ def test_substitute_pair_anchors_at_block_of_min_difference(golden_pair):
     assert shift_pair(moved, 1).y.window(-40, 40) == image.y.window(-40, 40)
 
 
+def test_substitute_pair_trivial_and_tail_shifted():
+    # ^inf0.10^inf against ^inf0.00^inf differ at {0} only
+    x, y = (EventuallyPeriodic.from_strings("0", "", z, "0") for z in ("1", "0"))
+    pair = certify_asymptotic(x, y, 4)
+    assert pair.diff == frozenset({0})
+    # 0 -> 0, 1 -> 01: the block of position 0 is longer in x, so the block
+    # ends differ and the structural certifier decides: only 1 differs
+    grow = Substitution({0: (0,), 1: (0, 1)}, BINARY, BINARY)
+    assert substitute_pair(grow, pair).diff == frozenset({1})
+    # 0 -> 0, 1 -> 00: the images are both ^inf0^inf
+    flat = Substitution({0: (0,), 1: (0, 0)}, BINARY, BINARY)
+    image = substitute_pair(flat, pair)
+    assert image.is_trivial
+    # a trivial pair stays trivial
+    assert substitute_pair(grow, image).is_trivial
+
+
 @pytest.mark.parametrize("chain", [1, 2])
 def test_substitute_pair_over_image_pairs(chain):
     # members that are images themselves, under a psi whose two images share

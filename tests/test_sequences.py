@@ -203,6 +203,16 @@ def test_difference_set_mechanical():
     ) == frozenset()
 
 
+def test_difference_set_of_an_image_against_a_mechanical_word():
+    # tau_2(upper(sqrt2/2)) is the mechanical word upper((4 - sqrt2)/7) read
+    # as an image: the mechanical side is rewritten as an image to compare
+    tau2 = substitute(Substitution({0: (0, 1), 1: (0, 0, 1)}, BINARY, BINARY),
+                      MechanicalUpper(SQRT2_HALF))
+    mech = MechanicalUpper(sk.QuadraticIrrational(4, -1, 7, 2))
+    assert isinstance(normal_form(tau2), NFSubst) and isinstance(normal_form(mech), NFMech)
+    assert difference_set(tau2, mech) == difference_set(mech, tau2) == frozenset({-1, 0})
+
+
 def test_images_with_different_letter_frequencies_are_not_asymptotic():
     def image(im0, im1, base=MechanicalLower(GOLDEN), size=2):
         return substitute(Substitution({0: im0, 1: im1}, BINARY, alphabet_of_size(size)), base)
