@@ -12,7 +12,7 @@ from sturmkit.patterns import AsymptoticPair, certify_asymptotic, check_indistin
 from sturmkit.sequences import MechanicalLower, MechanicalUpper, SequenceOracle
 from sturmkit.slopes import QuadraticIrrational, parse_slope
 
-from conftest import to_str
+from conftest import GOLDEN, to_str
 
 GOLDEN_EXPR = "lower((-1+1*sqrt(5))/2)"
 GOLDEN_UPPER_EXPR = "upper((-1+1*sqrt(5))/2)"
@@ -366,9 +366,8 @@ class Opaque(SequenceOracle):
     (None, "recurrence undecidable for this oracle class"),
 ])
 def test_classify_opaque_pair_is_inconclusive(known_recurrent, resource):
-    golden = QuadraticIrrational(-1, 1, 2, 5)
-    pair = AsymptoticPair(Opaque(MechanicalLower(golden), known_recurrent),
-                          Opaque(MechanicalUpper(golden), known_recurrent), frozenset({-1, 0}))
+    pair = AsymptoticPair(Opaque(MechanicalLower(GOLDEN), known_recurrent),
+                          Opaque(MechanicalUpper(GOLDEN), known_recurrent), frozenset({-1, 0}))
     outcome = derive.classify(pair, max_len=12)
     assert outcome == derive.Inconclusive(resource)
     doc, text, code = _classification_doc(outcome, pair.alphabet)

@@ -204,8 +204,8 @@ def test_difference_set_mechanical():
 
 
 def test_difference_set_of_an_image_against_a_mechanical_word():
-    # tau_2(upper(sqrt2/2)) is the mechanical word upper((4 - sqrt2)/7) read
-    # as an image: the mechanical side is rewritten as an image to compare
+    # tau_2(upper(sqrt2/2)) is lower((4 - sqrt2)/7), which differs from
+    # upper((4 - sqrt2)/7) at {-1, 0}; the mechanical side is compared as an image
     tau2 = substitute(Substitution({0: (0, 1), 1: (0, 0, 1)}, BINARY, BINARY),
                       MechanicalUpper(SQRT2_HALF))
     mech = MechanicalUpper(sk.QuadraticIrrational(4, -1, 7, 2))
