@@ -224,7 +224,8 @@ def _deltas(hull: tuple[Word, Word], max_len: int, n: int) -> dict[Word, int]:
     first, last = max_len - n, len(hull[0]) - max_len  # the starts min F - n + 1 and max F
     windows = [slice(i, i + n) for i in range(first, last + 1)]
     in_x, in_y = (Counter(map(text.__getitem__, windows)) for text in hull)
-    return {} if in_x == in_y else {w: d for w in in_x | in_y if (d := in_y[w] - in_x[w])}
+    same = dict.__eq__(in_x, in_y)  # counting leaves no zero counts, so this is Counter ==, in C
+    return {} if same else {w: d for w in in_x.keys() | in_y.keys() if (d := in_y[w] - in_x[w])}
 
 
 @dataclass(frozen=True)
@@ -241,14 +242,13 @@ def check_indistinguishable(pair: AsymptoticPair, max_len: int) -> Verdict:
     lexicographically smallest symbol ids.  A pass certifies nothing beyond
     max_len except for pairs matched by the classification theorems.
 
-    Reads the hull [min F - max_len + 1, max F + max_len - 1] of x and y once,
-    |F| the width of the difference interval.  Failure is upward-closed in
-    length, so the length-n slices of both are counted only at n = 1, 2, 4,
-    ..., max_len; on the first failing probe q the bracket (p, q], p the last
-    passing probe, is bisected down to the first failing length.  That costs
-    O(max_len * (|F| + max_len)) symbol operations, all inside C-level slicing
-    and hashing, and O(|F| log max_len + max_len) interpreter steps; the two
-    Counters of the deepest probe hold O(max_len * (|F| + max_len)) symbols.
+    Reads the hull [min F - max_len + 1, max F + max_len - 1] of x and y once, |F| the
+    width of the difference interval.  Failure is upward-closed in length, so the
+    length-n slices of both are counted only at n = 1, 2, 4, ..., max_len; on the first
+    failing probe q the bracket (p, q], p the last passing probe, is bisected down to
+    the first failing length.  A probe compares the two slice Counters by dict equality,
+    in C (Counter.__eq__ loops in Python): O(max_len * (|F| + max_len)) symbol
+    operations and O(|F| log max_len + max_len) interpreter steps in all.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -272,12 +272,12 @@ def check_indistinguishable(pair: AsymptoticPair, max_len: int) -> Verdict:
 def ns_norm_lower_bound(pair: AsymptoticPair, max_support: int) -> Fraction:
     """Certified lower bound for the asymptotic-pair norm.
 
-    Maximizes (1/n) * sum over all length-n words of |Delta_w| for
-    n <= max_support; interval supports only, so this bounds the supremum
-    over all finite supports from below.  It reads the hull as
-    check_indistinguishable does but needs every length, so it refines classes
-    (:func:`words.factor_classes`) instead of counting slices: O(max_support *
-    (|F| + max_support)) time and O(|F| + max_support) memory.
+    Maximizes (1/n) * sum over all length-n words of |Delta_w| for n <= max_support;
+    interval supports only, so this bounds the supremum over all finite supports
+    from below.  It reads the hull as check_indistinguishable does but refines
+    classes (:func:`words.factor_classes`) at every length and compares their
+    Counters by dict inequality in C, not by the Python loop of Counter.__ne__:
+    O(max_support * (|F| + max_support)) time and O(|F| + max_support) memory.
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1")
@@ -287,8 +287,8 @@ def ns_norm_lower_bound(pair: AsymptoticPair, max_support: int) -> Fraction:
     levels = factor_classes(hull, len(hull[0]) - max_support + 1, pair.alphabet.size, max_support)
     counts = ((n, Counter(cx[max_support - n:]), Counter(cy[max_support - n:]))
               for n, ((cx, cy), _) in enumerate(levels, start=1))  # starts min F - n + 1 .. max F
-    return max((Fraction(sum(abs(in_y[c] - in_x[c]) for c in in_x | in_y), n)
-                for n, in_x, in_y in counts if in_x != in_y), default=Fraction(0))
+    return max((Fraction(sum(abs(in_y[c] - in_x[c]) for c in in_x.keys() | in_y.keys()), n)
+                for n, in_x, in_y in counts if dict.__ne__(in_x, in_y)), default=Fraction(0))
 
 
 def pattern_reduction_check(p: Pattern, pair: AsymptoticPair) -> bool:

@@ -274,6 +274,8 @@ def parse_slope(text: str) -> Slope:
     if m:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise ValueError("zero denominator")
         return check_slope(Fraction(num, den))
     m = _QUADRATIC_RE.match(s)
     if m:

@@ -442,6 +442,13 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 3
 
 
+@pytest.mark.parametrize("expr", ["lower(1/0)", "upper(3/0)"])
+def test_zero_denominator_is_a_usage_error(capsys, expr):
+    code, out, err = run(capsys, "generate", "--expr", expr, "--window", "0:3")
+    assert code == 3 and not out
+    assert err.startswith("error: ") and "zero denominator" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("error", [KeyError, TypeError])
 def test_library_bugs_are_not_usage_errors(monkeypatch, error):
     # only ValueError is an argument or expression error (exit 3); anything

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import sturmkit as sk
 from sturmkit.patterns import (
     AsymptoticPair,
+    _deltas,
     Pattern,
     Verdict,
     certify_asymptotic,
@@ -223,6 +224,13 @@ def test_probe_search_matches_brute_force(pair, max_len):
     assert check_indistinguishable(pair, max_len) == reference_check(pair, max_len)
 
 
+def test_deltas_compare_multiplicities_not_key_sets():
+    # equal key sets, unequal counts: the slices 0, 0, 1 against 0, 1, 1
+    assert _deltas(((0, 0, 1), (0, 1, 1)), 1, 1) == {(0,): -1, (1,): 1}
+    # one multiset of slices in another order
+    assert _deltas(((0, 1, 1, 0), (1, 0, 0, 1)), 1, 1) == {}
+
+
 def test_first_failure_inside_a_probe_bracket():
     # ^inf0.010000(01)^inf against ^inf0.100000(01)^inf first fails at 7, strictly
     # between the probes 4 and 8; with max_len 7 only the final probe sees it
@@ -298,6 +306,14 @@ def test_ns_norm(golden_pair, remark_pair):
     value = ns_norm_lower_bound(remark_pair, 6)
     assert value == brute_norm(remark_pair, 6)
     assert value > 0
+
+
+def test_ns_norm_regression_at_support_20(golden_pair, remark_pair):
+    # pinned values; the hypothesis comparison above stops at max_len 12
+    phi = Substitution({0: (0, 1, 2), 1: (3, 2)}, BINARY, alphabet_of_size(4))
+    assert ns_norm_lower_bound(remark_pair, 20) == Fraction(5, 2)
+    assert ns_norm_lower_bound(substitute_pair(phi, shift_pair(golden_pair, -1)), 20) == 0
+    assert ns_norm_lower_bound(substitute_pair(phi, remark_pair), 20) == Fraction(13, 5)
 
 
 def test_pattern_reduction(golden_pair, remark_pair):

@@ -162,6 +162,9 @@ def test_parse_rejects():
         parse_slope("7/5")  # outside [0, 1]
     with pytest.raises(ValueError):
         parse_slope("sqrt(2)")
+    for text in ("1/0", "3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_slope(text)
 
 
 QUADRATIC_SLOPES = [GOLDEN, SQRT2_HALF, GOLDEN_COMPL, QuadraticIrrational(-2, 1, 1, 7),
